@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Commands mirror the pipeline stages and communicate through files in the
-output directory, so the full flow can run as one ``pipeline`` call or be
-replayed stage by stage:
+Each stage command loads its inputs from the output directory, calls that
+stage's function in :mod:`lftmine.pipeline` and prints a report. ``pipeline``
+chains the same functions, so the full flow can run as one call or be
+replayed stage by stage with the same files:
 
     lftmine sample   --out-dir out --k 150 --seed 0
     lftmine evaluate --out-dir out
@@ -26,52 +27,34 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .doe import lhs_sample
-from .dtree import (
-    build_tree,
-    format_tree,
-    leaf_count,
-    load_tree,
-    mean_class_recall,
-    prune_tree,
-    prune_with_ladder,
-    save_tree,
-)
-from .errors import InfeasibleRuleError, LftError, RuleNotFoundError
-from .labeling import CLASS_ORDER, OBJECTIVES, label_metrics
+from .dtree import format_tree, leaf_count, load_tree
+from .errors import LftError
+from .labeling import CLASS_ORDER, OBJECTIVES
 from .pipeline import (
+    VALIDATION_K,
     RunConfig,
-    _validation_seed,
+    average_fidelity,
     class_counts,
     config_to_dict,
-    default_jobs,
-    evaluate_many,
     load_config,
     read_dataset_csv,
     read_designs_csv,
-    record_for,
-    relabel,
+    run_evaluate,
     run_hollow_report,
+    run_label,
     run_pipeline,
+    run_prune,
+    run_rules,
+    run_sample,
     run_sweep,
-    training_dataset,
-    validation_report_csv,
-    write_dataset_csv,
-    write_designs_csv,
+    run_train,
+    run_validate,
 )
-from .rules import (
-    extract_rules,
-    format_rules,
-    load_rules,
-    save_rules,
-    select_rule,
-    validate_rule,
-)
+from .rules import format_rules, load_rules
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -91,11 +74,8 @@ def _require(path: Path, producer: str) -> Path:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    points = lhs_sample(k=cfg.k, seed=cfg.seed)
-    write_designs_csv(points, out / "designs.csv")
+    points = run_sample(_resolve_config(args), out)
     print(f"wrote {len(points)} designs to {out / 'designs.csv'}")
     return 0
 
@@ -104,8 +84,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     out = Path(args.out_dir)
     points = read_designs_csv(_require(out / "designs.csv", "sample"))
-    records = evaluate_many(points, cfg, jobs=args.jobs, trace_dir=args.trace_dir)
-    write_dataset_csv(records, out / "metrics.csv", labeled=False)
+    records = run_evaluate(points, cfg, out, trace_dir=args.trace_dir)
     print(f"wrote {len(records)} evaluated designs to {out / 'metrics.csv'}")
     if args.trace_dir:
         print(f"wrote {len(records)} traces to {args.trace_dir}")
@@ -114,8 +93,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_label(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    records = relabel(read_dataset_csv(_require(out / "metrics.csv", "evaluate")))
-    write_dataset_csv(records, out / "dataset.csv", labeled=True)
+    records = run_label(read_dataset_csv(_require(out / "metrics.csv", "evaluate")), out)
     print(f"wrote graded dataset to {out / 'dataset.csv'}")
     for obj in OBJECTIVES:
         counts = class_counts(records, obj)
@@ -127,11 +105,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     out = Path(args.out_dir)
     records = read_dataset_csv(_require(out / "dataset.csv", "label"))
-    tree = build_tree(training_dataset(records, args.objective), min_leaf=cfg.min_leaf)
-    save_tree(tree, out / f"tree_{args.objective}.json")
-    rendered = format_tree(tree)
-    (out / f"tree_{args.objective}.txt").write_text(rendered + "\n", encoding="utf-8")
-    print(rendered)
+    tree = run_train(records, args.objective, cfg, out)
+    print(format_tree(tree))
     print(f"wrote tree to {out / f'tree_{args.objective}.json'}")
     return 0
 
@@ -141,20 +116,12 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     tree = load_tree(_require(out / f"tree_{args.objective}.json", "train"))
     records = read_dataset_csv(_require(out / "dataset.csv", "label"))
-    data = training_dataset(records, args.objective)
-    if args.cf is not None:
-        pruned_tree = prune_tree(tree, args.cf)
-        cf: float | None = args.cf
-        recall = mean_class_recall(pruned_tree, data)
-    else:
-        result = prune_with_ladder(tree, data, cfg.cf_ladder, cfg.recall_floor)
-        pruned_tree, cf, recall = result.tree, result.cf, result.recall
-    save_tree(pruned_tree, out / f"pruned_{args.objective}.json")
+    result = run_prune(tree, records, args.objective, cfg, out, cf=args.cf)
     print(
-        f"pruned {leaf_count(tree.root)} -> {leaf_count(pruned_tree.root)} leaves "
-        f"(cf={cf}, mean class recall={recall:.3f})"
+        f"pruned {leaf_count(tree.root)} -> {leaf_count(result.tree.root)} leaves "
+        f"(cf={result.cf}, mean class recall={result.recall:.3f})"
     )
-    print(format_tree(pruned_tree))
+    print(format_tree(result.tree))
     return 0
 
 
@@ -162,18 +129,10 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     pruned_path = out / f"pruned_{args.objective}.json"
     tree_path = pruned_path if pruned_path.exists() else out / f"tree_{args.objective}.json"
-    tree = load_tree(_require(tree_path, "train"))
-    rules = extract_rules(tree)
-    selected = {}
+    rules, selected = run_rules(load_tree(_require(tree_path, "train")), args.objective, out)
     for label in CLASS_ORDER:
-        try:
-            selected[label] = select_rule(rules, label, tree.attributes)
-        except RuleNotFoundError:
+        if label not in selected:
             print(f"note: no rule predicts class {label}")
-    save_rules(rules, selected, out / f"rules_{args.objective}.json")
-    (out / f"rules_{args.objective}.txt").write_text(
-        format_rules(rules) + "\n", encoding="utf-8"
-    )
     print(f"extracted {len(rules)} rules from {tree_path.name}")
     print(format_rules(rules))
     print("selected:")
@@ -186,31 +145,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     out = Path(args.out_dir)
     _, selected = load_rules(_require(out / f"rules_{args.objective}.json", "rules"))
-    validation_k = args.k if args.k is not None else 5
-    validations = {}
+    k = VALIDATION_K if args.k is None else args.k
+    validations = run_validate(selected, args.objective, cfg, out, k)
     for label in CLASS_ORDER:
-        rule = selected.get(label)
-        if rule is None:
-            continue
-        try:
-            check = validate_rule(
-                rule,
-                labeler=lambda dp: label_metrics(record_for(0, dp, cfg).metrics, args.objective),
-                k=validation_k,
-                seed=_validation_seed(cfg.seed, args.objective, label),
-            )
-        except InfeasibleRuleError:
+        check = validations.get(label)
+        if check is not None:
+            print(f"  [{label}] fidelity {check.fidelity_pct:.1f}% ({check.hits}/{len(check.labels)})")
+        elif label in selected:
             print(f"  [{label}] region infeasible, skipped")
-            continue
-        validations[label] = check
-        print(f"  [{label}] fidelity {check.fidelity_pct:.1f}% ({check.hits}/{len(check.labels)})")
-    report = validation_report_csv(args.objective, validations, cfg)
-    path = out / f"validation_{args.objective}.csv"
-    path.write_text(report, encoding="utf-8")
-    if validations:
-        average = math.fsum(v.fidelity_pct for v in validations.values()) / len(validations)
+    average = average_fidelity(validations)
+    if average is not None:
         print(f"average fidelity: {average:.1f}%")
-    print(f"wrote {path}")
+    print(f"wrote {out / f'validation_{args.objective}.csv'}")
     return 0
 
 
@@ -250,7 +196,7 @@ def _cmd_hollow(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    result = run_pipeline(cfg, args.out_dir, jobs=args.jobs, trace_dir=args.trace_dir)
+    result = run_pipeline(cfg, args.out_dir, trace_dir=args.trace_dir)
     print((result.out_dir / "summary.txt").read_text(encoding="utf-8"), end="")
     print(f"wrote {len(result.files)} files to {result.out_dir}")
     return 0
@@ -269,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, objective: bool = False, jobs: bool = False):
+    def common(p: argparse.ArgumentParser, objective: bool = False):
         p.add_argument("--config", help="JSON config file (see 'lftmine config')")
         p.add_argument("--out-dir", default="out", help="artifact directory (default: out)")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -281,20 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
                 default="eff",
                 help="grading objective (default: eff)",
             )
-        if jobs:
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=None,
-                help=f"worker threads (default: all cores, here {default_jobs()})",
-            )
 
     p = sub.add_parser("sample", help="draw the Latin Hypercube design table")
     common(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("evaluate", help="evaluate designs.csv into metrics.csv")
-    common(p, jobs=True)
+    common(p)
     p.add_argument(
         "--trace-dir",
         help="directory to write one design_<index>.csv force curve per design",
@@ -339,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hollow)
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
-    common(p, jobs=True)
+    common(p)
     p.add_argument(
         "--trace-dir",
         help="directory to write one design_<index>.csv force curve per design",

@@ -29,7 +29,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import BoundsError, SchemaError
+from .errors import BoundsError, NumericError, SchemaError
 from .labeling import CLASS_ORDER
 
 ATTRIBUTE_ORDER = ("d", "n", "m", "t", "h")
@@ -286,16 +286,21 @@ def tree_depth(node: TreeNode) -> int:
     return 1 + max(tree_depth(node.left), tree_depth(node.right))
 
 
-def mean_class_recall(tree: DecisionTree, data: Dataset) -> float:
-    """Unweighted mean of per-class recall over classes present in data."""
+def _class_recall(tree: DecisionTree, data: Dataset) -> dict[str, float]:
+    """Recall of each class present in data, in class order."""
     hits: dict[str, int] = {}
     totals: dict[str, int] = {}
     for row, label in zip(data.rows, data.labels):
         totals[label] = totals.get(label, 0) + 1
         if predict_row(tree, row) == label:
             hits[label] = hits.get(label, 0) + 1
-    recalls = [hits.get(c, 0) / t for c, t in sorted(totals.items())]
-    return math.fsum(recalls) / len(recalls)
+    return {c: hits.get(c, 0) / totals[c] for c in ordered_classes(tuple(totals))}
+
+
+def mean_class_recall(tree: DecisionTree, data: Dataset) -> float:
+    """Unweighted mean of per-class recall over classes present in data."""
+    recalls = _class_recall(tree, data)
+    return math.fsum(recalls.values()) / len(recalls)
 
 
 def branch_count(node: TreeNode) -> int:
@@ -321,17 +326,10 @@ def tree_stats(tree: DecisionTree, data: Dataset) -> TreeStats:
     Classes absent from the data are left out of the recall map and of
     the average.
     """
-    hits: dict[str, int] = {}
-    totals: dict[str, int] = {}
-    for row, label in zip(data.rows, data.labels):
-        totals[label] = totals.get(label, 0) + 1
-        if predict_row(tree, row) == label:
-            hits[label] = hits.get(label, 0) + 1
-    recall = {c: hits.get(c, 0) / t for c, t in totals.items()}
-    ordered = {c: recall[c] for c in ordered_classes(tuple(recall))}
+    recall = _class_recall(tree, data)
     return TreeStats(
-        per_class_recall=ordered,
-        average_accuracy=math.fsum(ordered.values()) / len(ordered),
+        per_class_recall=recall,
+        average_accuracy=math.fsum(recall.values()) / len(recall),
         leaf_count=leaf_count(tree.root),
         branch_count=branch_count(tree.root),
     )
@@ -347,6 +345,8 @@ def upper_error_bound(cf: float, n: int, e: int) -> float:
 
     Solves P(X <= e | n, p) = cf for p, the classic pessimistic estimate.
     With zero observed errors the bound has the closed form 1 - cf**(1/n).
+    Raises NumericError where the float binomial terms overflow, from
+    about n=1030 at e=n/2.
     """
     if not 0 < cf < 1:
         raise BoundsError(f"confidence factor cf={cf} must be in (0, 1)")
@@ -359,12 +359,17 @@ def upper_error_bound(cf: float, n: int, e: int) -> float:
     if e == n:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if _binom_cdf(e, n, mid) > cf:
-            lo = mid
-        else:
-            hi = mid
+    try:
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if _binom_cdf(e, n, mid) > cf:
+                lo = mid
+            else:
+                hi = mid
+    except OverflowError:
+        raise NumericError(
+            f"pruning bound overflows float range at n={n}, e={e}, cf={cf}"
+        ) from None
     return 0.5 * (lo + hi)
 
 
@@ -425,27 +430,28 @@ def prune_with_ladder(
     return best
 
 
+def _leaf_text(node: TreeNode) -> str:
+    if node.n_errors:
+        return f"{node.label} ({node.n_total}/{node.n_errors})"
+    return f"{node.label} ({node.n_total})"
+
+
 def format_tree(tree: DecisionTree) -> str:
     """Readable indented rendering, leaves shown as label (n) or (n/errors)."""
     lines: list[str] = []
-
-    def leaf_text(node: TreeNode) -> str:
-        if node.n_errors:
-            return f"{node.label} ({node.n_total}/{node.n_errors})"
-        return f"{node.label} ({node.n_total})"
 
     def walk(node: TreeNode, depth: int) -> None:
         pad = "|   " * depth
         for op, child in (("<=", node.left), (">", node.right)):
             head = f"{pad}{node.attribute} {op} {node.threshold:g}:"
             if child.is_leaf:
-                lines.append(f"{head} {leaf_text(child)}")
+                lines.append(f"{head} {_leaf_text(child)}")
             else:
                 lines.append(head)
                 walk(child, depth + 1)
 
     if tree.root.is_leaf:
-        return leaf_text(tree.root)
+        return _leaf_text(tree.root)
     walk(tree.root, 0)
     return "\n".join(lines)
 
@@ -459,16 +465,11 @@ def tree_to_dot(tree: DecisionTree) -> str:
 
     counter = [0]
 
-    def leaf_text(node: TreeNode) -> str:
-        if node.n_errors:
-            return f"{node.label} ({node.n_total}/{node.n_errors})"
-        return f"{node.label} ({node.n_total})"
-
     def walk(node: TreeNode) -> int:
         nid = counter[0]
         counter[0] += 1
         if node.is_leaf:
-            lines.append(f'  n{nid} [label="{leaf_text(node)}", style=rounded];')
+            lines.append(f'  n{nid} [label="{_leaf_text(node)}", style=rounded];')
             return nid
         lines.append(f'  n{nid} [label="{node.attribute}"];')
         left_id = walk(node.left)

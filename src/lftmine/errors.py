@@ -23,3 +23,7 @@ class InfeasibleRuleError(LftError, ValueError):
 
 class RuleNotFoundError(LftError, LookupError):
     """No extracted rule exists for the requested class."""
+
+
+class NumericError(LftError, ArithmeticError):
+    """A numeric routine cannot represent its result at the given inputs."""

@@ -1,18 +1,23 @@
 """End-to-end orchestration: sample, evaluate, label, train, prune, rules.
 
-The stages communicate through plain files in an output directory so each
-can also run as a separate command:
+Each stage is one function that computes its result and writes that
+stage's files into the output directory. The CLI commands load a stage's
+inputs from the files of the previous stage and call the same function;
+``run_pipeline`` chains the functions on in-memory results:
 
-    designs.csv      sampled design variables
-    metrics.csv      designs + derived geometry + crash indicators
-    dataset.csv      metrics.csv + the three grade columns
-    tree_OBJ.json    unpruned tree (OBJ in eff/tea/light), plus .txt form
-    pruned_OBJ.json  tree after the confidence ladder (.txt and .dot too)
-    rules_OBJ.json   all leaf rules + one selected rule per class
-    validation_OBJ.csv  sampled designs behind each selected rule
-    scatter_OBJ.svg  mass vs SEA scatter, one series per grade
-    rules.json       the three per-objective rule documents in one file
-    manifest.json    config echo + artifact list, written atomically
+    sample    designs.csv      sampled design variables
+    evaluate  metrics.csv      designs + derived geometry + crash indicators
+    label     dataset.csv      metrics.csv + the three grade columns
+    train     tree_OBJ.json    unpruned tree (OBJ in eff/tea/light), plus .txt
+              scatter_OBJ.svg  mass vs SEA scatter, one series per grade
+    prune     pruned_OBJ.json  pruned tree, plus .txt and .dot renderings
+    rules     rules_OBJ.json   all leaf rules + one selected rule per class
+    validate  validation_OBJ.csv  sampled designs behind each selected rule
+
+``run_pipeline`` adds summary.txt, rules.json (the three per-objective
+rule documents in one file) and manifest.json (config echo + artifact
+list). It removes any old manifest.json first and writes the new one
+last, so only a finished run leaves one behind.
 
 All floats are written with repr so a rerun with the same seed produces
 byte-identical files.
@@ -23,9 +28,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,8 @@ from .dtree import (
     build_tree,
     format_tree,
     leaf_count,
+    mean_class_recall,
+    prune_tree,
     prune_with_ladder,
     save_tree,
     tree_depth,
@@ -146,25 +152,7 @@ class RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "k": cfg.k,
-        "min_leaf": cfg.min_leaf,
-        "peak_window": cfg.peak_window,
-        "recall_floor": cfg.recall_floor,
-        "cf_ladder": list(cfg.cf_ladder),
-        "tube_material": cfg.tube_material,
-        "lattice_material": cfg.lattice_material,
-        "surrogate": {
-            "crush_fraction": cfg.surrogate.crush_fraction,
-            "peak_factor": cfg.surrogate.peak_factor,
-            "fold_amplitude": cfg.surrogate.fold_amplitude,
-            "fold_count": cfg.surrogate.fold_count,
-            "lattice_efficiency": cfg.surrogate.lattice_efficiency,
-            "interaction_factor": cfg.surrogate.interaction_factor,
-            "sample_step": cfg.surrogate.sample_step,
-        },
-    }
+    return {**asdict(cfg), "cf_ladder": list(cfg.cf_ladder)}
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -263,15 +251,9 @@ def record_for(
     )
 
 
-def default_jobs() -> int:
-    """Worker count when none is requested: the available cores."""
-    return os.cpu_count() or 1
-
-
 def evaluate_many(
     points: Sequence[DesignPoint],
     cfg: RunConfig,
-    jobs: int | None = None,
     traces: Sequence[CrushTrace] | None = None,
     trace_dir: str | Path | None = None,
 ) -> list[DesignRecord]:
@@ -280,27 +262,19 @@ def evaluate_many(
     Traces land in trace_dir as design_<index>.csv. A failure names the
     design it happened on.
     """
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise BoundsError(f"jobs={jobs} must be at least 1")
     if traces is not None and len(traces) != len(points):
         raise SchemaError(f"got {len(traces)} traces for {len(points)} designs")
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-
-    def one(i: int) -> DesignRecord:
+    records = []
+    for i, dp in enumerate(points):
         path = None if trace_dir is None else trace_dir / f"design_{i}.csv"
         try:
-            return record_for(i, points[i], cfg, None if traces is None else traces[i], path)
+            records.append(record_for(i, dp, cfg, None if traces is None else traces[i], path))
         except LftError as exc:
             raise type(exc)(f"evaluate: design {i}: {exc}") from exc
-
-    if jobs == 1:
-        return [one(i) for i in range(len(points))]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, range(len(points))))
+    return records
 
 
 def write_designs_csv(points: Sequence[DesignPoint], path: str | Path) -> None:
@@ -310,30 +284,34 @@ def write_designs_csv(points: Sequence[DesignPoint], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_designs_csv(path: str | Path) -> list[DesignPoint]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != DESIGNS_HEADER:
-        raise SchemaError(f"{path}: expected header '{DESIGNS_HEADER}'")
-    points = []
+def _parse_rows(path: str | Path, lines: Sequence[str], width: int, parse: Callable) -> list:
+    """parse() applied to the cells of every non-blank row after the header."""
+    out = []
     for row, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 6:
-            raise SchemaError(f"{path}: row {row}: expected 6 columns, got {len(parts)}")
+        if len(parts) != width:
+            raise SchemaError(f"{path}: row {row}: expected {width} columns, got {len(parts)}")
         try:
-            points.append(
-                DesignPoint(
-                    n=int(parts[1]),
-                    m=int(parts[2]),
-                    d=float(parts[3]),
-                    t=float(parts[4]),
-                    h=float(parts[5]),
-                )
-            )
+            out.append(parse(parts))
         except ValueError as exc:
             raise SchemaError(f"{path}: row {row}: {exc}") from exc
-    return points
+    return out
+
+
+def _design_point(parts: Sequence[str]) -> DesignPoint:
+    # columns 1-5 of both the designs and the dataset tables
+    return DesignPoint(
+        n=int(parts[1]), m=int(parts[2]), d=float(parts[3]), t=float(parts[4]), h=float(parts[5])
+    )
+
+
+def read_designs_csv(path: str | Path) -> list[DesignPoint]:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != DESIGNS_HEADER:
+        raise SchemaError(f"{path}: expected header '{DESIGNS_HEADER}'")
+    return _parse_rows(path, lines, 6, _design_point)
 
 
 def _record_line(r: DesignRecord, labeled: bool) -> str:
@@ -360,46 +338,27 @@ def read_dataset_csv(path: str | Path) -> list[DesignRecord]:
     if not lines or lines[0] not in (DATASET_HEADER, METRICS_HEADER):
         raise SchemaError(f"{path}: unrecognized header")
     labeled = lines[0] == DATASET_HEADER
-    width = 17 if labeled else 14
-    records = []
-    for row, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise SchemaError(f"{path}: row {row}: expected {width} columns, got {len(parts)}")
-        try:
-            point = DesignPoint(
-                n=int(parts[1]),
-                m=int(parts[2]),
-                d=float(parts[3]),
-                t=float(parts[4]),
-                h=float(parts[5]),
-            )
-            metrics = CrashMetrics(
-                mass_kg=float(parts[8]),
-                tea_kj=float(parts[9]),
-                sea_kj_per_kg=float(parts[10]),
-                pm_kn=float(parts[11]),
-                pcf_kn=float(parts[12]),
-                cfe_pct=float(parts[13]),
-            )
-            labels = (
-                {"eff": parts[14], "tea": parts[15], "light": parts[16]} if labeled else {}
-            )
-            records.append(
-                DesignRecord(
-                    index=int(parts[0]),
-                    point=point,
-                    omega_deg=float(parts[6]),
-                    l_mm=float(parts[7]),
-                    metrics=metrics,
-                    labels=labels,
-                )
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{path}: row {row}: {exc}") from exc
-    return records
+
+    def parse(parts: Sequence[str]) -> DesignRecord:
+        point = _design_point(parts)
+        metrics = CrashMetrics(
+            mass_kg=float(parts[8]),
+            tea_kj=float(parts[9]),
+            sea_kj_per_kg=float(parts[10]),
+            pm_kn=float(parts[11]),
+            pcf_kn=float(parts[12]),
+            cfe_pct=float(parts[13]),
+        )
+        return DesignRecord(
+            index=int(parts[0]),
+            point=point,
+            omega_deg=float(parts[6]),
+            l_mm=float(parts[7]),
+            metrics=metrics,
+            labels={"eff": parts[14], "tea": parts[15], "light": parts[16]} if labeled else {},
+        )
+
+    return _parse_rows(path, lines, 17 if labeled else 14, parse)
 
 
 def relabel(records: Sequence[DesignRecord]) -> list[DesignRecord]:
@@ -446,68 +405,13 @@ def class_counts(records: Sequence[DesignRecord], objective: str) -> dict[str, i
     return counts
 
 
+# sampled designs per selected rule unless a run asks for another count
+VALIDATION_K = 5
+
+
 def _validation_seed(seed: int, objective: str, label: str) -> int:
     # arbitrary fixed offsets so each rule gets its own stream
     return seed + 7919 * (OBJECTIVES.index(objective) * len(CLASS_ORDER) + CLASS_ORDER.index(label) + 1)
-
-
-@dataclass(frozen=True)
-class ObjectiveArtifacts:
-    objective: str
-    tree: DecisionTree
-    pruned: PruneResult
-    rules: list[Rule]
-    selected: dict[str, Rule]
-    validations: dict[str, RuleValidation]
-    average_fidelity: float | None
-
-    @property
-    def fidelity(self) -> dict[str, float]:
-        return {label: v.fidelity_pct for label, v in self.validations.items()}
-
-
-def analyze_objective(
-    records: Sequence[DesignRecord],
-    objective: str,
-    cfg: RunConfig,
-    validation_k: int = 5,
-) -> ObjectiveArtifacts:
-    """Train, prune, extract and select rules, validate them by sampling."""
-    data = training_dataset(records, objective)
-    tree = build_tree(data, min_leaf=cfg.min_leaf)
-    pruned = prune_with_ladder(tree, data, cfg.cf_ladder, cfg.recall_floor)
-    rules = extract_rules(pruned.tree)
-    selected: dict[str, Rule] = {}
-    for label in CLASS_ORDER:
-        try:
-            selected[label] = select_rule(rules, label, pruned.tree.attributes)
-        except RuleNotFoundError:
-            continue
-    validations: dict[str, RuleValidation] = {}
-    for label, rule in selected.items():
-        try:
-            validations[label] = validate_rule(
-                rule,
-                labeler=lambda dp: label_metrics(record_for(0, dp, cfg).metrics, objective),
-                k=validation_k,
-                seed=_validation_seed(cfg.seed, objective, label),
-            )
-        except InfeasibleRuleError:
-            continue
-    average = (
-        math.fsum(v.fidelity_pct for v in validations.values()) / len(validations)
-        if validations
-        else None
-    )
-    return ObjectiveArtifacts(
-        objective=objective,
-        tree=tree,
-        pruned=pruned,
-        rules=rules,
-        selected=selected,
-        validations=validations,
-        average_fidelity=average,
-    )
 
 
 # second report column per objective, next to SEA
@@ -559,11 +463,140 @@ def _scatter_doc(records: Sequence[DesignRecord], objective: str) -> str:
     )
 
 
+def run_sample(cfg: RunConfig, out_dir: str | Path) -> list[DesignPoint]:
+    """Latin Hypercube designs; writes designs.csv."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    points = lhs_sample(k=cfg.k, seed=cfg.seed)
+    write_designs_csv(points, out / "designs.csv")
+    return points
+
+
+def run_evaluate(
+    points: Sequence[DesignPoint],
+    cfg: RunConfig,
+    out_dir: str | Path,
+    trace_dir: str | Path | None = None,
+) -> list[DesignRecord]:
+    """Crush model and indicators for every design; writes metrics.csv."""
+    records = evaluate_many(points, cfg, trace_dir=trace_dir)
+    write_dataset_csv(records, Path(out_dir) / "metrics.csv", labeled=False)
+    return records
+
+
+def run_label(records: Sequence[DesignRecord], out_dir: str | Path) -> list[DesignRecord]:
+    """Grades under every objective; writes dataset.csv."""
+    records = relabel(records)
+    write_dataset_csv(records, Path(out_dir) / "dataset.csv", labeled=True)
+    return records
+
+
+def run_train(
+    records: Sequence[DesignRecord], objective: str, cfg: RunConfig, out_dir: str | Path
+) -> DecisionTree:
+    """Unpruned tree; writes tree_OBJ.json, tree_OBJ.txt and scatter_OBJ.svg."""
+    out = Path(out_dir)
+    tree = build_tree(training_dataset(records, objective), min_leaf=cfg.min_leaf)
+    save_tree(tree, out / f"tree_{objective}.json")
+    (out / f"tree_{objective}.txt").write_text(format_tree(tree) + "\n", encoding="utf-8")
+    (out / f"scatter_{objective}.svg").write_text(
+        _scatter_doc(records, objective), encoding="utf-8"
+    )
+    return tree
+
+
+def run_prune(
+    tree: DecisionTree,
+    records: Sequence[DesignRecord],
+    objective: str,
+    cfg: RunConfig,
+    out_dir: str | Path,
+    cf: float | None = None,
+) -> PruneResult:
+    """Prune along the config's ladder, or at one fixed cf.
+
+    Writes pruned_OBJ.json, pruned_OBJ.txt and pruned_OBJ.dot.
+    """
+    out = Path(out_dir)
+    data = training_dataset(records, objective)
+    if cf is None:
+        result = prune_with_ladder(tree, data, cfg.cf_ladder, cfg.recall_floor)
+    else:
+        pruned = prune_tree(tree, cf)
+        result = PruneResult(tree=pruned, cf=cf, recall=mean_class_recall(pruned, data))
+    save_tree(result.tree, out / f"pruned_{objective}.json")
+    (out / f"pruned_{objective}.txt").write_text(format_tree(result.tree) + "\n", encoding="utf-8")
+    (out / f"pruned_{objective}.dot").write_text(tree_to_dot(result.tree), encoding="utf-8")
+    return result
+
+
+def run_rules(
+    tree: DecisionTree, objective: str, out_dir: str | Path
+) -> tuple[list[Rule], dict[str, Rule]]:
+    """Every leaf rule and the selected rule of each predicted class.
+
+    Writes rules_OBJ.json and rules_OBJ.txt.
+    """
+    out = Path(out_dir)
+    rules = extract_rules(tree)
+    selected: dict[str, Rule] = {}
+    for label in CLASS_ORDER:
+        try:
+            selected[label] = select_rule(rules, label, tree.attributes)
+        except RuleNotFoundError:
+            continue
+    save_rules(rules, selected, out / f"rules_{objective}.json")
+    (out / f"rules_{objective}.txt").write_text(format_rules(rules) + "\n", encoding="utf-8")
+    return rules, selected
+
+
+def run_validate(
+    selected: Mapping[str, Rule],
+    objective: str,
+    cfg: RunConfig,
+    out_dir: str | Path,
+    k: int = VALIDATION_K,
+) -> dict[str, RuleValidation]:
+    """Check each selected rule on k designs sampled inside its region.
+
+    Rules whose region misses the design box are skipped. Writes
+    validation_OBJ.csv.
+    """
+    validations: dict[str, RuleValidation] = {}
+    for label in CLASS_ORDER:
+        if label not in selected:
+            continue
+        try:
+            validations[label] = validate_rule(
+                selected[label],
+                labeler=lambda dp: label_metrics(record_for(0, dp, cfg).metrics, objective),
+                k=k,
+                seed=_validation_seed(cfg.seed, objective, label),
+            )
+        except InfeasibleRuleError:
+            continue
+    report = validation_report_csv(objective, validations, cfg)
+    (Path(out_dir) / f"validation_{objective}.csv").write_text(report, encoding="utf-8")
+    return validations
+
+
+def average_fidelity(validations: Mapping[str, RuleValidation]) -> float | None:
+    if not validations:
+        return None
+    return math.fsum(v.fidelity_pct for v in validations.values()) / len(validations)
+
+
+# files the train, prune, rules and validate stages write per objective
+OBJECTIVE_FILES = (
+    "tree_{}.json", "tree_{}.txt", "scatter_{}.svg", "pruned_{}.json", "pruned_{}.txt",
+    "pruned_{}.dot", "rules_{}.json", "rules_{}.txt", "validation_{}.csv",
+)
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     out_dir: Path
     records: list[DesignRecord]
-    artifacts: dict[str, ObjectiveArtifacts]
     files: list[str]
 
 
@@ -571,66 +604,55 @@ def run_pipeline(
     cfg: RunConfig,
     out_dir: str | Path,
     objectives: Sequence[str] = OBJECTIVES,
-    jobs: int | None = None,
-    validation_k: int = 5,
+    validation_k: int = VALIDATION_K,
     trace_dir: str | Path | None = None,
 ) -> PipelineResult:
-    """Full run: sample, evaluate, grade, and analyze every objective."""
+    """Every stage for every objective, then summary.txt, rules.json and
+    manifest.json.
+
+    An old manifest.json is removed before the first file is written and
+    the new one is written last, so a run that fails partway leaves a
+    directory without a manifest.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    points = lhs_sample(k=cfg.k, seed=cfg.seed)
-    records = evaluate_many(points, cfg, jobs=jobs, trace_dir=trace_dir)
-    files: list[str] = []
-
-    def emit(name: str, text: str) -> None:
-        (out / name).write_text(text, encoding="utf-8")
-        files.append(name)
-
-    write_designs_csv(points, out / "designs.csv")
-    files.append("designs.csv")
-    write_dataset_csv(records, out / "dataset.csv", labeled=True)
-    files.append("dataset.csv")
-
-    arts: dict[str, ObjectiveArtifacts] = {}
-    summary: list[str] = [f"designs evaluated: {len(records)}"]
+    (out / "manifest.json").unlink(missing_ok=True)
+    points = run_sample(cfg, out)
+    records = run_label(run_evaluate(points, cfg, out, trace_dir), out)
+    files = ["designs.csv", "metrics.csv", "dataset.csv"]
+    summary = [f"designs evaluated: {len(records)}"]
+    rule_docs, validated, pruning, fidelity = {}, {}, {}, {}
     for objective in objectives:
-        art = analyze_objective(records, objective, cfg, validation_k)
-        arts[objective] = art
-        save_tree(art.tree, out / f"tree_{objective}.json")
-        files.append(f"tree_{objective}.json")
-        emit(f"tree_{objective}.txt", format_tree(art.tree) + "\n")
-        save_tree(art.pruned.tree, out / f"pruned_{objective}.json")
-        files.append(f"pruned_{objective}.json")
-        emit(f"pruned_{objective}.txt", format_tree(art.pruned.tree) + "\n")
-        emit(f"pruned_{objective}.dot", tree_to_dot(art.pruned.tree))
-        save_rules(art.rules, art.selected, out / f"rules_{objective}.json")
-        files.append(f"rules_{objective}.json")
-        emit(f"rules_{objective}.txt", format_rules(art.rules) + "\n")
-        emit(f"validation_{objective}.csv", validation_report_csv(objective, art.validations, cfg))
-        emit(f"scatter_{objective}.svg", _scatter_doc(records, objective))
+        tree = run_train(records, objective, cfg, out)
+        pruned = run_prune(tree, records, objective, cfg, out)
+        rules, selected = run_rules(pruned.tree, objective, out)
+        validations = run_validate(selected, objective, cfg, out, validation_k)
+        files += [name.format(objective) for name in OBJECTIVE_FILES]
+        average = average_fidelity(validations)
+        rule_docs[objective] = rules_doc(rules, selected)
+        validated[objective] = sum(len(v.designs) for v in validations.values())
+        pruning[objective] = {"cf": pruned.cf, "recall": pruned.recall}
+        fidelity[objective] = {
+            **{label: v.fidelity_pct for label, v in validations.items()},
+            "average": average,
+        }
 
         counts = class_counts(records, objective)
         summary.append("")
         summary.append(f"objective {objective}: " + " ".join(f"{c}={counts[c]}" for c in CLASS_ORDER))
         summary.append(
-            f"  tree: {leaf_count(art.tree.root)} leaves, depth {tree_depth(art.tree.root)}; "
-            f"pruned: {leaf_count(art.pruned.tree.root)} leaves, cf={art.pruned.cf}, "
-            f"recall={art.pruned.recall:.3f}"
+            f"  tree: {leaf_count(tree.root)} leaves, depth {tree_depth(tree.root)}; "
+            f"pruned: {leaf_count(pruned.tree.root)} leaves, cf={pruned.cf}, "
+            f"recall={pruned.recall:.3f}"
         )
-        for label in CLASS_ORDER:
-            if label in art.selected:
-                summary.append(f"  rule {label}: {art.selected[label].describe()}")
-                if label in art.fidelity:
-                    summary.append(f"    fidelity: {art.fidelity[label]:.1f}%")
-        if art.average_fidelity is not None:
-            summary.append(f"  average fidelity: {art.average_fidelity:.1f}%")
-    emit("summary.txt", "\n".join(summary) + "\n")
-
-    write_json_atomic(
-        {obj: rules_doc(arts[obj].rules, arts[obj].selected) for obj in objectives},
-        out / "rules.json",
-    )
-    files.append("rules.json")
+        for label, rule in selected.items():
+            summary.append(f"  rule {label}: {rule.describe()}")
+            if label in validations:
+                summary.append(f"    fidelity: {validations[label].fidelity_pct:.1f}%")
+        if average is not None:
+            summary.append(f"  average fidelity: {average:.1f}%")
+    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    write_json_atomic(rule_docs, out / "rules.json")
+    files += ["summary.txt", "rules.json"]
 
     manifest = {
         "package": "lftmine",
@@ -641,25 +663,16 @@ def run_pipeline(
             "designs": len(points),
             "evaluated": len(records),
             "labeled": len(records),
-            "validated": {
-                obj: sum(len(v.designs) for v in arts[obj].validations.values())
-                for obj in objectives
-            },
+            "validated": validated,
         },
         "class_counts": {obj: class_counts(records, obj) for obj in objectives},
-        "pruning": {
-            obj: {"cf": arts[obj].pruned.cf, "recall": arts[obj].pruned.recall}
-            for obj in objectives
-        },
-        "fidelity_pct": {
-            obj: {**arts[obj].fidelity, "average": arts[obj].average_fidelity}
-            for obj in objectives
-        },
+        "pruning": pruning,
+        "fidelity_pct": fidelity,
         "artifacts": sorted(files),
     }
     write_json_atomic(manifest, out / "manifest.json")
     files.append("manifest.json")
-    return PipelineResult(out_dir=out, records=records, artifacts=arts, files=files)
+    return PipelineResult(out_dir=out, records=records, files=files)
 
 
 def hollow_baseline_sea(t: float) -> float:

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from lftmine import pipeline
 from lftmine.cli import main
 from lftmine.dtree import leaf_count, load_tree
+from lftmine.errors import LftError
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +23,7 @@ def workdir(tmp_path_factory):
     out = root / "out"
     base = ["--config", str(config), "--out-dir", str(out)]
     assert main(["sample", *base]) == 0
-    assert main(["evaluate", *base, "--jobs", "2", "--trace-dir", str(out / "traces")]) == 0
+    assert main(["evaluate", *base, "--trace-dir", str(out / "traces")]) == 0
     assert main(["label", *base]) == 0
     assert main(["train", *base, "--objective", "eff"]) == 0
     assert main(["prune", *base, "--objective", "eff"]) == 0
@@ -172,10 +174,51 @@ def test_pipeline_cli(tmp_path, capsys):
         encoding="utf-8",
     )
     out = tmp_path / "run"
-    rc = main(["pipeline", "--config", str(config), "--out-dir", str(out), "--jobs", "2"])
+    rc = main(["pipeline", "--config", str(config), "--out-dir", str(out)])
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "wrote" in stdout
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["rows"]["designs"] == 25
     assert (out / "summary.txt").exists()
+
+
+def test_staged_run_matches_pipeline(workdir, tmp_path):
+    """Every staged file reappears byte for byte in a one-shot run."""
+    config = str(workdir / "config.json")
+    staged, oneshot = tmp_path / "staged", tmp_path / "oneshot"
+    base = ["--config", config, "--out-dir", str(staged)]
+    for command in ("sample", "evaluate", "label"):
+        assert main([command, *base]) == 0
+    for obj in ("eff", "tea", "light"):
+        for command in ("train", "prune", "rules", "validate"):
+            assert main([command, *base, "--objective", obj]) == 0
+    assert main(["pipeline", "--config", config, "--out-dir", str(oneshot)]) == 0
+    staged_files = {p.name for p in staged.iterdir()}
+    oneshot_files = {p.name for p in oneshot.iterdir()}
+    assert staged_files <= oneshot_files
+    assert oneshot_files - staged_files == {"manifest.json", "rules.json", "summary.txt"}
+    for name in sorted(staged_files):
+        assert (staged / name).read_bytes() == (oneshot / name).read_bytes(), name
+
+
+def test_failed_rerun_removes_manifest(workdir, tmp_path, monkeypatch, capsys):
+    args = ["pipeline", "--config", str(workdir / "config.json"), "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    assert (tmp_path / "manifest.json").exists()
+
+    def fail(*args, **kwargs):
+        raise LftError("injected rules failure")
+
+    monkeypatch.setattr(pipeline, "run_rules", fail)
+    assert main(args) == 2
+    assert "error: injected rules failure" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_jobs_option_is_gone(capsys):
+    for command in ("evaluate", "pipeline"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EFFICIENCY_ROWS, rows_as_dataset
 from lftmine.dtree import (
@@ -31,8 +33,9 @@ from lftmine.dtree import (
     tree_stats,
     tree_to_dot,
     tree_to_json,
+    upper_error_bound,
 )
-from lftmine.errors import BoundsError, SchemaError
+from lftmine.errors import BoundsError, NumericError, SchemaError
 
 
 def four_row_data():
@@ -238,6 +241,51 @@ def test_upper_error_bound_rejects_bad_input():
         upper_error_bound(0.25, 0, 0)
     with pytest.raises(BoundsError, match=r"e=5 must be in \[0, 4\]"):
         upper_error_bound(0.25, 4, 5)
+
+
+def test_upper_error_bound_overflow_is_reported():
+    with pytest.raises(NumericError, match=r"n=2000, e=1000, cf=0\.25"):
+        upper_error_bound(0.25, 2000, 1000)
+
+
+# a leaf (n, e) with 1 <= n <= 150 and 0 <= e <= n
+leaves = st.integers(1, 150).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+confidences = st.floats(0.001, 0.499)
+bound_settings = settings(max_examples=20, deadline=None, database=None)
+
+
+@bound_settings
+@given(leaves, confidences)
+def test_upper_error_bound_lies_between_rate_and_one(leaf, cf):
+    n, e = leaf
+    assert e / n <= upper_error_bound(cf, n, e) <= 1.0
+
+
+@bound_settings
+@given(leaves, confidences)
+def test_upper_error_bound_rises_with_errors(leaf, cf):
+    n, e = leaf
+    if e < n:
+        assert upper_error_bound(cf, n, e + 1) >= upper_error_bound(cf, n, e)
+
+
+@bound_settings
+@given(leaves, confidences, confidences)
+def test_upper_error_bound_falls_with_confidence(leaf, cf_a, cf_b):
+    n, e = leaf
+    lo, hi = sorted((cf_a, cf_b))
+    assert upper_error_bound(hi, n, e) <= upper_error_bound(lo, n, e)
+
+
+@bound_settings
+@given(leaves, confidences)
+def test_upper_error_bound_is_the_beta_quantile(leaf, cf):
+    beta = pytest.importorskip("scipy.stats").beta
+    n, e = leaf
+    if 0 < e < n:
+        assert upper_error_bound(cf, n, e) == pytest.approx(
+            beta.ppf(1.0 - cf, e + 1, n - e), abs=1e-9
+        )
 
 
 def two_noisy_leaf_tree():

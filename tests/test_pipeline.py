@@ -102,28 +102,18 @@ def test_record_oracle():
     assert r.attribute_row() == (2.0, 4.0, 2.0, 1.4, 0.0)
 
 
-def test_evaluate_many_parallel_matches_serial(tmp_path):
-    cfg = RunConfig(k=12, surrogate=FAST)
-    points = lhs_sample(k=12, seed=4)
-    serial = evaluate_many(points, cfg, jobs=1)
-    parallel = evaluate_many(points, cfg, jobs=4)
-    assert serial == parallel
-    with pytest.raises(BoundsError, match="jobs=0"):
-        evaluate_many(points, cfg, jobs=0)
-
-
 def test_evaluate_many_names_failing_design():
     cfg = RunConfig(surrogate=FAST)
     good = DesignPoint(n=3, m=3, d=2.0, t=1.0, h=1.0)
     bad = DesignPoint(n=1, m=3, d=2.0, t=1.0, h=1.0)
     with pytest.raises(BoundsError, match="evaluate: design 1: design variable n=1"):
-        evaluate_many([good, bad], cfg, jobs=1)
+        evaluate_many([good, bad], cfg)
 
 
 def test_evaluate_many_writes_traces(tmp_path):
     cfg = RunConfig(surrogate=FAST)
     points = lhs_sample(k=3, seed=1)
-    evaluate_many(points, cfg, jobs=1, trace_dir=tmp_path / "traces")
+    evaluate_many(points, cfg, trace_dir=tmp_path / "traces")
     files = sorted(p.name for p in (tmp_path / "traces").glob("*.csv"))
     assert files == ["design_0.csv", "design_1.csv", "design_2.csv"]
     first = (tmp_path / "traces" / "design_0.csv").read_text(encoding="utf-8")
@@ -145,7 +135,7 @@ def test_designs_csv_round_trip(tmp_path):
 
 def test_dataset_csv_round_trip(tmp_path):
     cfg = RunConfig(surrogate=FAST)
-    records = evaluate_many(lhs_sample(k=6, seed=3), cfg, jobs=1)
+    records = evaluate_many(lhs_sample(k=6, seed=3), cfg)
     path = tmp_path / "dataset.csv"
     write_dataset_csv(records, path)
     loaded = read_dataset_csv(path)
@@ -162,7 +152,7 @@ def test_dataset_csv_round_trip(tmp_path):
 
 def test_metrics_csv_relabel(tmp_path):
     cfg = RunConfig(surrogate=FAST)
-    records = evaluate_many(lhs_sample(k=5, seed=6), cfg, jobs=1)
+    records = evaluate_many(lhs_sample(k=5, seed=6), cfg)
     path = tmp_path / "metrics.csv"
     write_dataset_csv(records, path, labeled=False)
     loaded = read_dataset_csv(path)
@@ -272,7 +262,7 @@ def test_hollow_baseline_interpolation():
 
 def test_hollow_report_counts(tmp_path):
     cfg = RunConfig(surrogate=FAST)
-    records = evaluate_many(lhs_sample(k=8, seed=9), cfg, jobs=1)
+    records = evaluate_many(lhs_sample(k=8, seed=9), cfg)
     report = run_hollow_report(cfg, tmp_path, records)
     assert report.baseline == "surrogate"
     assert report.total == 8
