@@ -22,13 +22,21 @@ external simulation or test data without code changes.
 
 External curves (test or FE exports) can replace the surrogate through
 :func:`ingest_trace`; the CSV format is two columns with header ``x_mm,F_kN``.
+
+:func:`surrogate_traces` samples the traces of many designs in one numpy
+call; :func:`simulate_crush` and :func:`hollow_trace` are its one-design
+cases.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import BoundsError, TraceError
 from .geometry import DESIGN_BOUNDS, DerivedGeometry, DesignPoint, MaterialSpec, TubeConstants
@@ -37,6 +45,8 @@ N_TO_KN = 1e-3
 
 # Fraction of the stroke holding the initial peak; apex at half of it.
 PEAK_END_FRACTION = 0.05
+# apex, knee and end of a trace as fractions of its stroke
+_MARKS = np.array([0.5 * PEAK_END_FRACTION, PEAK_END_FRACTION, 1.0])
 
 
 @dataclass(frozen=True)
@@ -50,15 +60,15 @@ class CrushTrace:
             raise TraceError("trace needs at least two samples")
         if self.samples[0][0] != 0.0:
             raise TraceError(f"trace must start at x=0, got x={self.samples[0][0]}")
-        for i in range(len(self.samples)):
-            x, f = self.samples[i]
+        prev = -math.inf
+        for i, (x, f) in enumerate(self.samples):
             if f < 0:
                 raise TraceError(f"negative force {f} at sample {i}")
-            if i > 0 and x <= self.samples[i - 1][0]:
+            if x <= prev:
                 raise TraceError(
-                    f"displacement not strictly increasing at sample {i}: "
-                    f"{self.samples[i - 1][0]} -> {x}"
+                    f"displacement not strictly increasing at sample {i}: {prev} -> {x}"
                 )
+            prev = x
 
     @property
     def z(self) -> float:
@@ -134,38 +144,130 @@ def mean_lattice_force(
     return p.lattice_efficiency * lat_mat.sigma_flow * rod_area * struts * N_TO_KN
 
 
-def _sample_grid(z: float, step: float) -> list[float]:
-    """Uniform grid over [0, z] plus the triangle breakpoints."""
-    xs: list[float] = []
-    i = 0
-    # strict < keeps the closing sample exactly at z
-    while i * step < z:
-        xs.append(i * step)
-        i += 1
-    xs.append(z)
-    for bp in (0.5 * PEAK_END_FRACTION * z, PEAK_END_FRACTION * z):
-        if bp not in xs:
-            xs.append(bp)
-    return sorted(xs)
+def crush_inputs(
+    dp: DesignPoint,
+    g: DerivedGeometry,
+    tube_mat: MaterialSpec,
+    lat_mat: MaterialSpec,
+    p: SurrogateParams = SurrogateParams(),
+    c: TubeConstants = TubeConstants(),
+) -> tuple[float, float, int]:
+    """Mean force (kN), crush distance (mm) and fold count of a lattice-filled tube."""
+    if dp.d < 0:
+        raise BoundsError(f"rod diameter d={dp.d} must be non-negative")
+    pm = mean_tube_force(dp.t, tube_mat, c) + p.interaction_factor * mean_lattice_force(
+        dp, g, lat_mat, p
+    )
+    return pm, p.crush_fraction * (c.H - dp.h), p.folds_for(dp.n)
 
-def _trace_from_mean_force(pm_total: float, z: float, folds: int, p: SurrogateParams) -> CrushTrace:
-    x_apex = 0.5 * PEAK_END_FRACTION * z
-    x_knee = PEAK_END_FRACTION * z
-    f_peak = p.peak_factor * pm_total
 
-    def base(x: float) -> float:
-        return pm_total * (1.0 + p.fold_amplitude * math.sin(2.0 * math.pi * folds * x / z))
+def hollow_inputs(
+    t: float,
+    tube_mat: MaterialSpec,
+    p: SurrogateParams = SurrogateParams(),
+    c: TubeConstants = TubeConstants(),
+) -> tuple[float, float, int]:
+    """Mean force, crush distance and fold count of the hollow tube."""
+    return mean_tube_force(t, tube_mat, c), p.crush_fraction * c.H, p.folds_for(0)
 
-    f_knee = base(x_knee)
 
-    def force(x: float) -> float:
-        if x <= x_apex:
-            return f_peak * x / x_apex
-        if x <= x_knee:
-            return f_peak + (f_knee - f_peak) * (x - x_apex) / (x_knee - x_apex)
-        return base(x)
+@dataclass(frozen=True)
+class TraceBatch:
+    """Several traces end to end: trace i is x[starts[i]:starts[i + 1]]."""
 
-    return CrushTrace(samples=tuple((x, force(x)) for x in _sample_grid(z, p.sample_step)))
+    x: np.ndarray
+    force: np.ndarray
+    starts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def trace(self, i: int) -> CrushTrace:
+        a, b = self.starts[i], self.starts[i + 1]
+        return CrushTrace(samples=tuple(zip(self.x[a:b].tolist(), self.force[a:b].tolist())))
+
+    @classmethod
+    def of(cls, trace: CrushTrace) -> TraceBatch:
+        n = len(trace.samples)
+        xf = np.fromiter(chain.from_iterable(trace.samples), float, 2 * n).reshape(n, 2)
+        return cls(x=xf[:, 0], force=xf[:, 1], starts=np.array([0, n]))
+
+
+def _count_below(v: np.ndarray, step: float) -> np.ndarray:
+    """How many grid points i * step (i = 0, 1, ...) lie strictly below v."""
+    n = np.ceil(v / step).astype(np.int64)
+    # the quotient may round across an integer; settle on the exact products
+    while (low := n * step < v).any():
+        n += low
+    while (high := (n > 0) & ((n - 1) * step >= v)).any():
+        n -= high
+    return n
+
+
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for every count c, end to end."""
+    local = np.arange(counts.sum())
+    local -= (counts.cumsum() - counts).repeat(counts)
+    return local
+
+
+def surrogate_traces(
+    pm: Sequence[float], z: Sequence[float], folds: Sequence[int], p: SurrogateParams
+) -> TraceBatch:
+    """Surrogate traces of several designs, all in numpy.
+
+    Each trace samples the grid i * sample_step below z, then z itself,
+    plus the apex and knee of the initial triangle where they are not
+    grid points already. Every sample costs a few float64 temporaries, so
+    memory grows with the number of designs in one call.
+    """
+    pm = np.asarray(pm, dtype=float)
+    z = np.asarray(z, dtype=float)
+    phase = 2.0 * np.pi * np.asarray(folds, dtype=np.int64)
+    step = float(p.sample_step)
+    # apex, knee and end of the stroke, one row per design
+    marks = z[:, None] * _MARKS
+    below = _count_below(marks, step)
+
+    # each mark goes in front of the first grid point at or above it; an
+    # apex or knee that is a grid point already is not added again
+    added = below * step != marks
+    added[:, 2] = True
+    n_grid = below[:, 2]
+    lengths = n_grid + added.sum(axis=1)
+    starts = np.zeros(len(z) + 1, dtype=np.int64)
+    lengths.cumsum(out=starts[1:])
+    at = (below + added.cumsum(axis=1) - added + starts[:-1, None])[added]
+    x = np.empty(starts[-1])
+    on_grid = np.ones(starts[-1], dtype=bool)
+    on_grid[at] = False
+    x[at] = marks[added]
+    x[on_grid] = _ragged_arange(n_grid) * step
+
+    # fold ripple pm (1 + A sin(2 pi folds x / z)), built in place
+    force = phase.repeat(lengths)
+    force *= x
+    force /= z.repeat(lengths)
+    np.sin(force, out=force)
+    force *= p.fold_amplitude
+    force += 1.0
+    force *= pm.repeat(lengths)
+
+    # the initial triangle replaces the ripple on the samples up to the
+    # knee, falling to the ripple's value at the knee
+    head = (x <= marks[:, 1].repeat(lengths)).nonzero()[0]
+    n_head = below[:, 1] + added[:, 0] + 1
+    f_knee = force[starts[:-1] + n_head - 1]
+    xh = x[head]
+    x_apex, x_knee, f_peak, f_knee = np.array(
+        (marks[:, 0], marks[:, 1], p.peak_factor * pm, f_knee)
+    ).repeat(n_head, axis=1)
+    force[head] = np.where(
+        xh <= x_apex,
+        f_peak * xh / x_apex,
+        f_peak + (f_knee - f_peak) * (xh - x_apex) / (x_knee - x_apex),
+    )
+    return TraceBatch(x=x, force=force, starts=starts)
 
 
 def simulate_crush(
@@ -177,13 +279,8 @@ def simulate_crush(
     c: TubeConstants = TubeConstants(),
 ) -> CrushTrace:
     """Deterministic surrogate trace for a lattice-filled tube."""
-    if dp.d < 0:
-        raise BoundsError(f"rod diameter d={dp.d} must be non-negative")
-    pm = mean_tube_force(dp.t, tube_mat, c) + p.interaction_factor * mean_lattice_force(
-        dp, g, lat_mat, p
-    )
-    z = p.crush_fraction * (c.H - dp.h)
-    return _trace_from_mean_force(pm, z, p.folds_for(dp.n), p)
+    pm, z, folds = crush_inputs(dp, g, tube_mat, lat_mat, p, c)
+    return surrogate_traces([pm], [z], [folds], p).trace(0)
 
 
 def hollow_trace(
@@ -193,9 +290,8 @@ def hollow_trace(
     c: TubeConstants = TubeConstants(),
 ) -> CrushTrace:
     """Surrogate trace for the hollow tube of the same thickness."""
-    pm = mean_tube_force(t, tube_mat, c)
-    z = p.crush_fraction * c.H
-    return _trace_from_mean_force(pm, z, p.folds_for(0), p)
+    pm, z, folds = hollow_inputs(t, tube_mat, p, c)
+    return surrogate_traces([pm], [z], [folds], p).trace(0)
 
 
 TRACE_HEADER = "x_mm,F_kN"

@@ -44,7 +44,7 @@ INTEGER_VARIABLES = ("n", "m")
 FLOW_STRESS_FACTOR = 1.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignPoint:
     """One LFT design: the five independent design variables."""
 

@@ -35,7 +35,15 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .crush import CrushTrace, SurrogateParams, hollow_trace, simulate_crush, write_trace
+from .crush import (
+    CrushTrace,
+    SurrogateParams,
+    crush_inputs,
+    hollow_inputs,
+    simulate_crush,
+    surrogate_traces,
+    write_trace,
+)
 from .doe import lhs_sample
 from .dtree import (
     ATTRIBUTE_ORDER,
@@ -66,6 +74,7 @@ from .geometry import (
     ALSI10MG,
     DESIGN_BOUNDS,
     INTEGER_VARIABLES,
+    DerivedGeometry,
     DesignPoint,
     MaterialSpec,
     TubeConstants,
@@ -74,7 +83,7 @@ from .geometry import (
     tube_mass_kg,
 )
 from .labeling import CLASS_ORDER, OBJECTIVES, label_all, label_metrics
-from .metrics import CrashMetrics, compute_metrics
+from .metrics import CrashMetrics, batch_metrics, compute_metrics
 from .rules import (
     Rule,
     RuleValidation,
@@ -200,7 +209,7 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(doc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignRecord:
     """One fully evaluated design; labels empty until graded."""
 
@@ -217,6 +226,14 @@ class DesignRecord:
         return tuple(values[a] for a in ATTRIBUTE_ORDER)
 
 
+def _geometry_and_mass(
+    dp: DesignPoint, cfg: RunConfig, c: TubeConstants
+) -> tuple[DerivedGeometry, float]:
+    """Derived geometry and total mass (kg) of one design."""
+    g = derive_geometry(dp, c)
+    return g, compute_mass(dp, g, c, cfg.tube, cfg.lattice).total_mass
+
+
 def evaluate_design(
     dp: DesignPoint,
     cfg: RunConfig = RunConfig(),
@@ -228,53 +245,101 @@ def evaluate_design(
     Returns (omega_deg, l_mm, trace, metrics). A supplied trace (from an
     external curve) replaces the surrogate simulation.
     """
-    g = derive_geometry(dp, c)
-    mass = compute_mass(dp, g, c, cfg.tube, cfg.lattice)
+    g, mass = _geometry_and_mass(dp, cfg, c)
     if trace is None:
         trace = simulate_crush(dp, g, cfg.tube, cfg.lattice, cfg.surrogate, c)
-    m = compute_metrics(trace, mass.total_mass, cfg.peak_window)
+    m = compute_metrics(trace, mass, cfg.peak_window)
     return math.degrees(g.omega), g.l, trace, m
 
 
-def record_for(
-    index: int,
-    dp: DesignPoint,
-    cfg: RunConfig,
-    trace: CrushTrace | None = None,
-    trace_path: str | Path | None = None,
-) -> DesignRecord:
-    omega_deg, l_mm, tr, m = evaluate_design(dp, cfg, trace=trace)
-    if trace_path is not None:
-        write_trace(tr, trace_path)
+def record_for(index: int, dp: DesignPoint, cfg: RunConfig) -> DesignRecord:
+    """One design evaluated and graded under the given index."""
+    omega_deg, l_mm, _, m = evaluate_design(dp, cfg)
     return DesignRecord(
         index=index, point=dp, omega_deg=omega_deg, l_mm=l_mm, metrics=m, labels=label_all(m)
     )
 
 
+# designs per kernel call: its arrays stay below 1 MB at the default sample
+# step whatever the design count; larger calls were no faster at k=20 000
+# and raised peak memory
+EVAL_CHUNK = 64
+
+
+def _surrogate_metrics(
+    items: Sequence,
+    inputs: Callable[[object], tuple],
+    cfg: RunConfig,
+    name: Callable[[int], str],
+    trace_dir: Path | None = None,
+) -> tuple[list[tuple], list[CrashMetrics]]:
+    """Surrogate indicators of every item, EVAL_CHUNK items per kernel call.
+
+    inputs(item) gives (mean force, crush distance, fold count, mass, ...)
+    and may raise; the rows come back beside the metrics. The error of the
+    first failing item i starts with name(i). Traces land in trace_dir as
+    design_<i>.csv.
+    """
+    rows: list[tuple] = []
+    metrics: list[CrashMetrics] = []
+    for start in range(0, len(items), EVAL_CHUNK):
+        failed = None
+        for i, item in enumerate(items[start : start + EVAL_CHUNK], start):
+            try:
+                rows.append(inputs(item))
+            except LftError as exc:
+                failed = i, exc
+                break
+        chunk = rows[start:]
+        if chunk:
+            pm, z, folds, mass = list(zip(*chunk))[:4]
+            batch = surrogate_traces(pm, z, folds, cfg.surrogate)
+            metrics += batch_metrics(batch, mass, cfg.peak_window, lambda j: name(start + j))
+            if trace_dir is not None:
+                for j in range(len(batch)):
+                    write_trace(batch.trace(j), trace_dir / f"design_{start + j}.csv")
+        if failed is not None:
+            i, exc = failed
+            raise type(exc)(f"{name(i)}{exc}") from exc
+    return rows, metrics
+
+
+def _evaluate_name(i: int) -> str:
+    return f"evaluate: design {i}: "
+
+
+def _unnamed(i: int) -> str:
+    return ""
+
+
 def evaluate_many(
     points: Sequence[DesignPoint],
     cfg: RunConfig,
-    traces: Sequence[CrushTrace] | None = None,
     trace_dir: str | Path | None = None,
+    name: Callable[[int], str] = _evaluate_name,
 ) -> list[DesignRecord]:
     """Evaluate designs in input order, optionally dumping each trace.
 
     Traces land in trace_dir as design_<index>.csv. A failure names the
-    design it happened on.
+    design it happened on through name(index).
     """
-    if traces is not None and len(traces) != len(points):
-        raise SchemaError(f"got {len(traces)} traces for {len(points)} designs")
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-    records = []
-    for i, dp in enumerate(points):
-        path = None if trace_dir is None else trace_dir / f"design_{i}.csv"
-        try:
-            records.append(record_for(i, dp, cfg, None if traces is None else traces[i], path))
-        except LftError as exc:
-            raise type(exc)(f"evaluate: design {i}: {exc}") from exc
-    return records
+    c = TubeConstants()
+
+    def inputs(dp: DesignPoint) -> tuple:
+        g, mass = _geometry_and_mass(dp, cfg, c)
+        pm, z, folds = crush_inputs(dp, g, cfg.tube, cfg.lattice, cfg.surrogate, c)
+        return pm, z, folds, mass, math.degrees(g.omega), g.l
+
+    rows, metrics = _surrogate_metrics(points, inputs, cfg, name, trace_dir)
+    return [
+        DesignRecord(
+            index=i, point=dp, omega_deg=omega_deg, l_mm=l_mm, metrics=m, labels=label_all(m)
+        )
+        for i, (dp, (*_, omega_deg, l_mm), m) in enumerate(zip(points, rows, metrics))
+    ]
 
 
 def write_designs_csv(points: Sequence[DesignPoint], path: str | Path) -> None:
@@ -691,10 +756,15 @@ def hollow_baseline_sea(t: float) -> float:
     return HOLLOW_SEA_BASELINES[knots[-1]]
 
 
-def hollow_row(t: float, cfg: RunConfig = RunConfig(), c: TubeConstants = TubeConstants()):
-    """Indicators for the hollow tube at one wall thickness."""
-    trace = hollow_trace(t, cfg.tube, cfg.surrogate, c)
-    return compute_metrics(trace, tube_mass_kg(t, cfg.tube, c), cfg.peak_window)
+def hollow_rows(
+    thicknesses: Sequence[float], cfg: RunConfig = RunConfig(), c: TubeConstants = TubeConstants()
+) -> list[CrashMetrics]:
+    """Indicators for the hollow tube at each wall thickness."""
+
+    def inputs(t: float) -> tuple:
+        return (*hollow_inputs(t, cfg.tube, cfg.surrogate, c), tube_mass_kg(t, cfg.tube, c))
+
+    return _surrogate_metrics(thicknesses, inputs, cfg, _unnamed)[1]
 
 
 @dataclass(frozen=True)
@@ -748,15 +818,13 @@ def run_hollow_report(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def baseline_for(t: float) -> float:
-        if paper_baselines:
-            return hollow_baseline_sea(t)
-        return hollow_row(t, cfg).sea_kj_per_kg
-
+    if paper_baselines:
+        baselines = [hollow_baseline_sea(r.point.t) for r in records]
+    else:
+        baselines = [m.sea_kj_per_kg for m in hollow_rows([r.point.t for r in records], cfg)]
     deltas: list[float] = []
     lines = ["index,t_mm,sea_kj_per_kg,baseline_sea_kj_per_kg,delta_pct"]
-    for r in records:
-        base = baseline_for(r.point.t)
+    for r, base in zip(records, baselines):
         delta = 100.0 * (r.metrics.sea_kj_per_kg - base) / base
         deltas.append(delta)
         lines.append(
@@ -765,10 +833,8 @@ def run_hollow_report(
     (out / "hollow.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     grid_lines = ["t_mm,surrogate_sea_kj_per_kg,reference_sea_kj_per_kg"]
-    for t in thicknesses:
-        grid_lines.append(
-            f"{float(t)!r},{hollow_row(t, cfg).sea_kj_per_kg!r},{hollow_baseline_sea(t)!r}"
-        )
+    for t, m in zip(thicknesses, hollow_rows(thicknesses, cfg)):
+        grid_lines.append(f"{float(t)!r},{m.sea_kj_per_kg!r},{hollow_baseline_sea(t)!r}")
     (out / "hollow_grid.csv").write_text("\n".join(grid_lines) + "\n", encoding="utf-8")
 
     best = max(range(len(deltas)), key=lambda i: deltas[i])
@@ -833,14 +899,15 @@ def run_sweep(
         if unknown:
             raise SchemaError(f"unknown anchor variables: {', '.join(unknown)}")
         base.update(anchor)
-    records = []
-    for i, v in enumerate(values):
+    points = []
+    for v in values:
         spec = dict(base)
         spec[variable] = int(v) if variable in INTEGER_VARIABLES else float(v)
         dp = DesignPoint(
             n=int(spec["n"]), m=int(spec["m"]), d=float(spec["d"]), t=float(spec["t"]), h=float(spec["h"])
         )
-        records.append(record_for(i, dp, cfg))
+        points.append(dp)
+    records = evaluate_many(points, cfg, name=_unnamed)
     lines = [f"{variable},sea_kj_per_kg"]
     for v, r in zip(values, records):
         cell = str(int(v)) if variable in INTEGER_VARIABLES else repr(float(v))

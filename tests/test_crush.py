@@ -161,6 +161,13 @@ def test_trace_invariants():
         CrushTrace(samples=((0.0, 0.0), (1.0, 1.0), (1.0, 2.0)))
 
 
+def test_trace_check_reports_the_first_bad_sample():
+    with pytest.raises(TraceError, match=r"^displacement not strictly increasing at sample 2: 1.0 -> 0.5$"):
+        CrushTrace(samples=((0.0, 0.0), (1.0, 1.0), (0.5, 2.0), (3.0, -1.0)))
+    with pytest.raises(TraceError, match=r"^negative force -1.0 at sample 1$"):
+        CrushTrace(samples=((0.0, 0.0), (1.0, -1.0), (0.5, 2.0)))
+
+
 def test_trace_round_trips_bit_identically(tmp_path):
     trace = hollow_trace(1.4, AL6063_T5, SurrogateParams(), C)
     assert len(trace.samples) == 281
