@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -49,39 +48,57 @@ PEAK_END_FRACTION = 0.05
 _MARKS = np.array([0.5 * PEAK_END_FRACTION, PEAK_END_FRACTION, 1.0])
 
 
-@dataclass(frozen=True)
 class CrushTrace:
-    """Sampled force-displacement curve: x in mm (from 0), F in kN."""
+    """Sampled force-displacement curve: x in mm (from 0), F in kN.
 
-    samples: tuple[tuple[float, float], ...]
+    Holds two float64 arrays of equal length, ``x`` and ``force``;
+    ``CrushTrace(samples=...)`` builds one from (x, F) pairs instead. The
+    checks report the first bad sample, a negative force before a
+    displacement that does not increase.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.samples) < 2:
+    __slots__ = ("x", "force")
+
+    def __init__(
+        self,
+        x: Sequence[float] | np.ndarray | None = None,
+        force: Sequence[float] | np.ndarray | None = None,
+        *,
+        samples: Sequence[tuple[float, float]] | None = None,
+    ) -> None:
+        if samples is not None:
+            x, force = np.array(samples, dtype=float).reshape(-1, 2).T
+        x = np.asarray(x, dtype=float)
+        force = np.asarray(force, dtype=float)
+        if x.ndim != 1 or x.shape != force.shape:
+            raise TraceError(
+                f"x and force must be 1-D and of one length, got {x.shape} and {force.shape}"
+            )
+        if len(x) < 2:
             raise TraceError("trace needs at least two samples")
-        if self.samples[0][0] != 0.0:
-            raise TraceError(f"trace must start at x=0, got x={self.samples[0][0]}")
-        prev = -math.inf
-        for i, (x, f) in enumerate(self.samples):
-            if f < 0:
-                raise TraceError(f"negative force {f} at sample {i}")
-            if x <= prev:
-                raise TraceError(
-                    f"displacement not strictly increasing at sample {i}: {prev} -> {x}"
-                )
-            prev = x
+        if x[0] != 0.0:
+            raise TraceError(f"trace must start at x=0, got x={x[0]}")
+        bad = force < 0
+        bad[1:] |= x[1:] <= x[:-1]
+        if bad.any():
+            i = int(bad.argmax())
+            if force[i] < 0:
+                raise TraceError(f"negative force {force[i]} at sample {i}")
+            raise TraceError(
+                f"displacement not strictly increasing at sample {i}: {x[i - 1]} -> {x[i]}"
+            )
+        self.x = x
+        self.force = force
 
     @property
     def z(self) -> float:
         """Crush distance: the last sampled displacement."""
-        return self.samples[-1][0]
+        return self.x[-1].item()
 
     @property
-    def x(self) -> tuple[float, ...]:
-        return tuple(s[0] for s in self.samples)
-
-    @property
-    def force(self) -> tuple[float, ...]:
-        return tuple(s[1] for s in self.samples)
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        """The (x, F) pairs as Python floats."""
+        return tuple(zip(self.x.tolist(), self.force.tolist()))
 
 
 @dataclass(frozen=True)
@@ -184,13 +201,12 @@ class TraceBatch:
 
     def trace(self, i: int) -> CrushTrace:
         a, b = self.starts[i], self.starts[i + 1]
-        return CrushTrace(samples=tuple(zip(self.x[a:b].tolist(), self.force[a:b].tolist())))
+        return CrushTrace(self.x[a:b], self.force[a:b])
 
     @classmethod
     def of(cls, trace: CrushTrace) -> TraceBatch:
-        n = len(trace.samples)
-        xf = np.fromiter(chain.from_iterable(trace.samples), float, 2 * n).reshape(n, 2)
-        return cls(x=xf[:, 0], force=xf[:, 1], starts=np.array([0, n]))
+        """The one trace as a batch, sharing its arrays."""
+        return cls(x=trace.x, force=trace.force, starts=np.array([0, len(trace.x)]))
 
 
 def _count_below(v: np.ndarray, step: float) -> np.ndarray:
@@ -300,7 +316,7 @@ TRACE_HEADER = "x_mm,F_kN"
 def write_trace(trace: CrushTrace, path: str | Path) -> None:
     """Write a trace CSV; floats use repr so read-back is bit-identical."""
     lines = [TRACE_HEADER]
-    lines.extend(f"{x!r},{f!r}" for x, f in trace.samples)
+    lines.extend(f"{x!r},{f!r}" for x, f in zip(trace.x.tolist(), trace.force.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

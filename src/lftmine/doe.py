@@ -15,6 +15,7 @@ Reproducibility contract: the generator is numpy's PCG64 seeded with a
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,13 +90,11 @@ def lhs_sample(space: DesignSpace | None = None, k: int = 150, seed: int = 0) ->
         else:
             columns[name] = stratified_column(rng, k, vb.lower, vb.upper)
 
-    return [
-        DesignPoint(
-            n=int(columns["n"][i]),
-            m=int(columns["m"][i]),
-            d=float(columns["d"][i]),
-            t=float(columns["t"][i]),
-            h=float(columns["h"][i]),
-        )
-        for i in range(k)
-    ]
+    return design_points(columns)
+
+
+def design_points(columns: Mapping[str, np.ndarray]) -> list[DesignPoint]:
+    """One design per row of equal-length columns keyed by variable name."""
+    n, m = (columns[name].astype(int).tolist() for name in ("n", "m"))
+    d, t, h = (columns[name].astype(float).tolist() for name in ("d", "t", "h"))
+    return [DesignPoint(*row) for row in zip(n, m, d, t, h)]

@@ -29,7 +29,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import BoundsError, NumericError, SchemaError
+from .errors import BoundsError, SchemaError
 from .labeling import CLASS_ORDER
 
 ATTRIBUTE_ORDER = ("d", "n", "m", "t", "h")
@@ -162,22 +162,48 @@ class SplitCandidate:
 def evaluate_splits(
     data: Dataset, idx: Sequence[int], classes: Sequence[str], min_leaf: int
 ) -> list[SplitCandidate]:
-    """All admissible cuts at a node, in attribute-then-threshold order."""
+    """All admissible cuts at a node, in attribute-then-threshold order.
+
+    Each attribute is sorted once; one sweep over its distinct values
+    keeps the class counts at or below each value, so every cut is
+    scored from counts instead of a pass over the node's rows.
+    """
     out: list[SplitCandidate] = []
     n = len(idx)
-    parent = entropy([sum(1 for i in idx if data.labels[i] == c) for c in classes])
+    n_classes = len(classes)
+    pos = {c: i for i, c in enumerate(classes)}
+    # labels outside classes count toward side sizes only, in the last slot
+    codes = [pos.get(data.labels[i], n_classes) for i in idx]
+    total = [codes.count(k) for k in range(n_classes)]
+    parent = entropy(total)
     for j, attr in enumerate(data.attributes):
-        values = sorted({data.rows[i][j] for i in idx})
-        for v0, v1 in zip(values, values[1:]):
+        column = [data.rows[i][j] for i in idx]
+        # values[g] is the g-th smallest distinct value, first seen in idx
+        # order; below[g] counts the rows at or below it by class
+        values: list[float] = []
+        below: list[list[int]] = []
+        counts = [0] * (n_classes + 1)
+        for r in sorted(range(n), key=column.__getitem__):
+            v = column[r]
+            if not values or v != values[-1]:
+                if values:
+                    below.append(counts.copy())
+                values.append(v)
+            counts[codes[r]] += 1
+        below.append(counts)
+        for g in range(len(values) - 1):
+            v0, v1 = values[g], values[g + 1]
             mid = 0.5 * (v0 + v1)
-            left = [i for i in idx if data.rows[i][j] <= mid]
-            right = [i for i in idx if data.rows[i][j] > mid]
-            if len(left) < min_leaf or len(right) < min_leaf:
+            # the midpoint can round up to v1, which then goes left too
+            left = below[g + 1] if mid >= v1 else below[g]
+            n_left = sum(left)
+            n_right = n - n_left
+            if n_left < min_leaf or n_right < min_leaf:
                 continue
-            h_left = entropy([sum(1 for i in left if data.labels[i] == c) for c in classes])
-            h_right = entropy([sum(1 for i in right if data.labels[i] == c) for c in classes])
-            gain = parent - (len(left) / n) * h_left - (len(right) / n) * h_right
-            split_info = entropy([len(left), len(right)])
+            h_left = entropy(left[:n_classes])
+            h_right = entropy([t - c for t, c in zip(total, left)])
+            gain = parent - (n_left / n) * h_left - (n_right / n) * h_right
+            split_info = entropy([n_left, n_right])
             out.append(
                 SplitCandidate(
                     attr_index=j,
@@ -186,8 +212,8 @@ def evaluate_splits(
                     threshold=v0,
                     gain=gain,
                     gain_ratio=gain / split_info,
-                    n_left=len(left),
-                    n_right=len(right),
+                    n_left=n_left,
+                    n_right=n_right,
                 )
             )
     return out
@@ -335,18 +361,35 @@ def tree_stats(tree: DecisionTree, data: Dataset) -> TreeStats:
     )
 
 
-def _binom_cdf(e: int, n: int, p: float) -> float:
-    terms = [math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(e + 1)]
-    return math.fsum(terms)
+def _binom_cdf(e: int, n: int, p: float, log_comb: float) -> float:
+    """P(X <= e) for X ~ Binomial(n, p), with 0 < e < n, 0 < p < 1 and log_comb = log C(n, e).
+
+    Terms are summed from i = e down as multiples of the i = e term, whose
+    logarithm stays finite at any n, until a term no longer moves the sum.
+    """
+    log_head = log_comb + e * math.log(p) + (n - e) * math.log1p(-p)
+    odds = (1.0 - p) / p
+    term = total = 1.0
+    for i in range(e, 0, -1):
+        term *= i / (n - i + 1) * odds
+        total += term
+        if term < total * 1e-17:
+            break
+        if total > 1e300:
+            # terms still rising toward the mode: move the scale into the log
+            log_head += math.log(total)
+            term /= total
+            total = 1.0
+    return math.exp(log_head + math.log(total))
 
 
 def upper_error_bound(cf: float, n: int, e: int) -> float:
     """Upper confidence bound on the true error rate of a leaf.
 
-    Solves P(X <= e | n, p) = cf for p, the classic pessimistic estimate.
-    With zero observed errors the bound has the closed form 1 - cf**(1/n).
-    Raises NumericError where the float binomial terms overflow, from
-    about n=1030 at e=n/2.
+    Solves P(X <= e | n, p) = cf for p, the classic pessimistic estimate
+    and the (1 - cf) quantile of Beta(e + 1, n - e), by bisection down to
+    adjacent floats. With zero observed errors the bound has the closed
+    form 1 - cf**(1/n).
     """
     if not 0 < cf < 1:
         raise BoundsError(f"confidence factor cf={cf} must be in (0, 1)")
@@ -358,43 +401,45 @@ def upper_error_bound(cf: float, n: int, e: int) -> float:
         return 1.0 - cf ** (1.0 / n)
     if e == n:
         return 1.0
+    log_comb = math.log(math.comb(n, e))
     lo, hi = 0.0, 1.0
-    try:
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if _binom_cdf(e, n, mid) > cf:
-                lo = mid
-            else:
-                hi = mid
-    except OverflowError:
-        raise NumericError(
-            f"pruning bound overflows float range at n={n}, e={e}, cf={cf}"
-        ) from None
-    return 0.5 * (lo + hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if _binom_cdf(e, n, mid, log_comb) > cf:
+            lo = mid
+        else:
+            hi = mid
 
 
-def _leaf_estimate(node: TreeNode, cf: float) -> float:
-    return node.n_total * upper_error_bound(cf, node.n_total, node.n_errors)
-
-
-def _prune_node(node: TreeNode, cf: float) -> tuple[TreeNode, float]:
+def _prune_node(
+    node: TreeNode, cf: float, bounds: dict[tuple[int, int], float]
+) -> tuple[TreeNode, float]:
+    """Pruned subtree and its estimated errors; bounds memoizes (n, e) at this cf."""
+    key = (node.n_total, node.n_errors)
+    if key not in bounds:
+        bounds[key] = upper_error_bound(cf, *key)
+    own_est = node.n_total * bounds[key]
     if node.is_leaf:
-        return node, _leaf_estimate(node, cf)
-    left, est_left = _prune_node(node.left, cf)
-    right, est_right = _prune_node(node.right, cf)
+        return node, own_est
+    left, est_left = _prune_node(node.left, cf, bounds)
+    right, est_right = _prune_node(node.right, cf, bounds)
     subtree_est = est_left + est_right
-    collapsed_est = _leaf_estimate(node, cf)
-    if collapsed_est <= subtree_est + GAIN_EPS:
+    if own_est <= subtree_est + GAIN_EPS:
         leaf = TreeNode(
             counts=node.counts, label=node.label, n_total=node.n_total, n_errors=node.n_errors
         )
-        return leaf, collapsed_est
+        return leaf, own_est
     return replace(node, left=left, right=right), subtree_est
 
 
 def prune_tree(tree: DecisionTree, cf: float) -> DecisionTree:
-    """Pessimistic bottom-up subtree replacement at one confidence factor."""
-    root, _ = _prune_node(tree.root, cf)
+    """Pessimistic bottom-up subtree replacement at one confidence factor.
+
+    Each (n, e) bound is computed once per call; the memo ends with it.
+    """
+    root, _ = _prune_node(tree.root, cf, {})
     return replace(tree, root=root)
 
 

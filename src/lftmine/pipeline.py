@@ -28,8 +28,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import typing
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -164,39 +165,38 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return {**asdict(cfg), "cf_ladder": list(cfg.cf_ladder)}
 
 
-def config_from_dict(doc: dict) -> RunConfig:
+def _check_keys(cls: type, doc: object, what: str) -> None:
+    """Reject a non-object or unknown keys, in nested dataclass fields too."""
     if not isinstance(doc, dict):
-        raise SchemaError("config document must be a JSON object")
-    defaults = config_to_dict(RunConfig())
-    unknown = sorted(set(doc) - set(defaults))
+        raise SchemaError(f"{what} document must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(doc) - set(hints))
     if unknown:
-        raise SchemaError(f"unknown config keys: {', '.join(unknown)}")
-    merged = {**defaults, **doc}
-    sur_doc = merged["surrogate"]
-    unknown = sorted(set(sur_doc) - set(defaults["surrogate"]))
-    if unknown:
-        raise SchemaError(f"unknown surrogate keys: {', '.join(unknown)}")
-    sur = {**defaults["surrogate"], **sur_doc}
+        raise SchemaError(f"unknown {what} keys: {', '.join(unknown)}")
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]) and f.name in doc:
+            _check_keys(hints[f.name], doc[f.name], f.name)
+
+
+def _coerce(value: object, hint: object) -> object:
+    """value as the annotated type: scalars, tuple[T, ...], T | None, dataclasses."""
+    if is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        present = [f.name for f in fields(hint) if f.name in value]
+        return hint(**{name: _coerce(value[name], hints[name]) for name in present})
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return tuple(_coerce(v, args[0]) for v in value)
+    if args:  # T | None
+        return None if value is None else _coerce(value, args[0])
+    return hint(value)
+
+
+def config_from_dict(doc: dict) -> RunConfig:
+    """A RunConfig from a (partial) config document; missing keys keep their defaults."""
+    _check_keys(RunConfig, doc, "config")
     try:
-        return RunConfig(
-            seed=int(merged["seed"]),
-            k=int(merged["k"]),
-            min_leaf=int(merged["min_leaf"]),
-            peak_window=float(merged["peak_window"]),
-            recall_floor=float(merged["recall_floor"]),
-            cf_ladder=tuple(float(c) for c in merged["cf_ladder"]),
-            tube_material=str(merged["tube_material"]),
-            lattice_material=str(merged["lattice_material"]),
-            surrogate=SurrogateParams(
-                crush_fraction=float(sur["crush_fraction"]),
-                peak_factor=float(sur["peak_factor"]),
-                fold_amplitude=float(sur["fold_amplitude"]),
-                fold_count=None if sur["fold_count"] is None else int(sur["fold_count"]),
-                lattice_efficiency=float(sur["lattice_efficiency"]),
-                interaction_factor=float(sur["interaction_factor"]),
-                sample_step=float(sur["sample_step"]),
-            ),
-        )
+        return _coerce(doc, RunConfig)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed config value: {exc}") from exc
 

@@ -24,7 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .doe import VARIABLE_ORDER, DesignSpace, round_to_integers, stratified_column
+from .doe import (
+    VARIABLE_ORDER,
+    DesignSpace,
+    design_points,
+    round_to_integers,
+    stratified_column,
+)
 from .dtree import DecisionTree, TreeNode
 from .errors import (
     BoundsError,
@@ -198,16 +204,7 @@ def sample_in_rule(
             columns[name] = np.full(k, lo)
         else:
             columns[name] = stratified_column(rng, k, lo, hi)
-    return [
-        DesignPoint(
-            n=int(columns["n"][i]),
-            m=int(columns["m"][i]),
-            d=float(columns["d"][i]),
-            t=float(columns["t"][i]),
-            h=float(columns["h"][i]),
-        )
-        for i in range(k)
-    ]
+    return design_points(columns)
 
 
 @dataclass(frozen=True)

@@ -222,3 +222,12 @@ def test_jobs_option_is_gone(capsys):
             main([command, "--jobs", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+def test_pipeline_finishes_past_k_1030(tmp_path):
+    # the roots of these trees have leaves like n=1050, e=490, where the float
+    # binomial terms of a direct sum overflow
+    out = tmp_path / "run"
+    assert main(["pipeline", "--k", "1050", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["rows"]["designs"] == 1050

@@ -2,12 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lftmine.crush import (
     PEAK_END_FRACTION,
     CrushTrace,
     SurrogateParams,
+    TraceBatch,
     hollow_trace,
     ingest_trace,
     mean_lattice_force,
@@ -166,6 +170,64 @@ def test_trace_check_reports_the_first_bad_sample():
         CrushTrace(samples=((0.0, 0.0), (1.0, 1.0), (0.5, 2.0), (3.0, -1.0)))
     with pytest.raises(TraceError, match=r"^negative force -1.0 at sample 1$"):
         CrushTrace(samples=((0.0, 0.0), (1.0, -1.0), (0.5, 2.0)))
+
+
+def _checked_samples(samples):
+    """The per-sample checks CrushTrace replaced, as the reference."""
+    if len(samples) < 2:
+        raise TraceError("trace needs at least two samples")
+    if samples[0][0] != 0.0:
+        raise TraceError(f"trace must start at x=0, got x={samples[0][0]}")
+    prev = -math.inf
+    for i, (x, f) in enumerate(samples):
+        if f < 0:
+            raise TraceError(f"negative force {f} at sample {i}")
+        if x <= prev:
+            raise TraceError(
+                f"displacement not strictly increasing at sample {i}: {prev} -> {x}"
+            )
+        prev = x
+    return samples
+
+
+# steps of 0 repeat an x and negative steps go back; forces may be negative
+x_steps = st.sampled_from((1.0, 0.5, 0.0, -0.5, -0.0))
+forces = st.sampled_from((2.0, 0.0, -0.0, -1.5))
+trace_samples = st.lists(st.tuples(x_steps, forces), max_size=8).map(
+    lambda pairs: tuple(
+        (math.fsum(dx for dx, _ in pairs[1 : i + 1]), f) for i, (_, f) in enumerate(pairs)
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(trace_samples)
+@example(((0.0, 1.0), (0.0, -1.0)))  # both failures at sample 1: the force is reported
+@example(((0.0, 1.0), (1.0, 1.0), (0.5, -2.0)))
+@example(((0.0, -1.0), (1.0, 1.0)))
+@example(((2.0, 1.0), (1.0, -1.0)))
+def test_vectorized_trace_checks_match_the_sample_loop(samples):
+    try:
+        want = _checked_samples(samples)
+    except TraceError as exc:
+        with pytest.raises(TraceError) as got:
+            CrushTrace(samples=samples)
+        assert str(got.value) == str(exc)
+    else:
+        assert CrushTrace(samples=samples).samples == want
+
+
+def test_trace_holds_arrays_and_batches_share_them():
+    trace = CrushTrace(x=np.array([0.0, 1.0, 2.5]), force=np.array([0.0, 3.0, 1.0]))
+    assert trace.x.dtype == trace.force.dtype == np.float64
+    assert trace.samples == ((0.0, 0.0), (1.0, 3.0), (2.5, 1.0))
+    assert trace.z == 2.5 and type(trace.z) is float
+    batch = TraceBatch.of(trace)
+    assert batch.x is trace.x and batch.force is trace.force
+    again = batch.trace(0)
+    assert np.shares_memory(again.x, batch.x) and np.shares_memory(again.force, batch.force)
+    with pytest.raises(TraceError, match="one length"):
+        CrushTrace(x=[0.0, 1.0], force=[1.0])
 
 
 def test_trace_round_trips_bit_identically(tmp_path):

@@ -35,7 +35,7 @@ from lftmine.dtree import (
     tree_to_json,
     upper_error_bound,
 )
-from lftmine.errors import BoundsError, NumericError, SchemaError
+from lftmine.errors import BoundsError, SchemaError
 
 
 def four_row_data():
@@ -125,6 +125,84 @@ def test_reported_threshold_is_observed_value():
     best = select_split(cands)
     assert best.midpoint == 2.5
     assert best.threshold == 2.0
+
+
+def _splits_oracle(data, idx, classes, min_leaf):
+    """The quadratic scan evaluate_splits replaced: recount both sides at every midpoint."""
+    out = []
+    n = len(idx)
+    parent = entropy([sum(1 for i in idx if data.labels[i] == c) for c in classes])
+    for j, attr in enumerate(data.attributes):
+        values = sorted({data.rows[i][j] for i in idx})
+        for v0, v1 in zip(values, values[1:]):
+            mid = 0.5 * (v0 + v1)
+            left = [i for i in idx if data.rows[i][j] <= mid]
+            right = [i for i in idx if data.rows[i][j] > mid]
+            if len(left) < min_leaf or len(right) < min_leaf:
+                continue
+            h_left = entropy([sum(1 for i in left if data.labels[i] == c) for c in classes])
+            h_right = entropy([sum(1 for i in right if data.labels[i] == c) for c in classes])
+            gain = parent - (len(left) / n) * h_left - (len(right) / n) * h_right
+            split_info = entropy([len(left), len(right)])
+            out.append(
+                SplitCandidate(
+                    attr_index=j,
+                    attribute=attr,
+                    midpoint=mid,
+                    threshold=v0,
+                    gain=gain,
+                    gain_ratio=gain / split_info,
+                    n_left=len(left),
+                    n_right=len(right),
+                )
+            )
+    return out
+
+
+def _next_up(v, steps=1):
+    for _ in range(steps):
+        v = math.nextafter(v, math.inf)
+    return v
+
+
+# few values, so ties are common; runs of adjacent floats, where a midpoint
+# can round up onto the larger value; 0.0 and -0.0 tie but print apart
+SPLIT_VALUES = (
+    0.0, -0.0, 5e-324, 1e-323, 1.5e-323, 1.0, _next_up(1.0), _next_up(1.0, 2), 2.5, 7.0
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(SPLIT_VALUES), st.sampled_from(SPLIT_VALUES)),
+        min_size=1,
+        max_size=14,
+    ),
+    data=st.data(),
+    min_leaf=st.integers(1, 3),
+    drop_a_class=st.booleans(),
+)
+def test_evaluate_splits_matches_the_quadratic_scan(rows, data, min_leaf, drop_a_class):
+    labels = data.draw(st.lists(st.sampled_from("egb"), min_size=len(rows), max_size=len(rows)))
+    dataset = Dataset(attributes=("a", "b"), rows=tuple(rows), labels=tuple(labels))
+    order = data.draw(st.permutations(range(len(rows))))
+    idx = order[: data.draw(st.integers(1, len(rows)))]
+    classes = ordered_classes(dataset.labels)
+    if drop_a_class:
+        classes = classes[:-1]
+    got = evaluate_splits(dataset, idx, classes, min_leaf)
+    # repr tells 0.0 from -0.0 and compares every float bit for bit
+    assert repr(got) == repr(_splits_oracle(dataset, idx, classes, min_leaf))
+
+
+def test_midpoint_rounding_onto_the_larger_value_sends_it_left():
+    v0, v1 = _next_up(1.0), _next_up(1.0, 2)
+    assert 0.5 * (v0 + v1) == v1
+    data = Dataset(attributes=("x",), rows=((1.0,), (v0,), (v1,), (3.0,)), labels=tuple("bbee"))
+    cuts = {c.threshold: c for c in evaluate_splits(data, range(4), ("e", "b"), 1)}
+    assert (cuts[v0].n_left, cuts[v0].n_right) == (3, 1)
+    assert (cuts[v1].n_left, cuts[v1].n_right) == (3, 1)
 
 
 def test_build_two_leaf_tree():
@@ -243,9 +321,45 @@ def test_upper_error_bound_rejects_bad_input():
         upper_error_bound(0.25, 4, 5)
 
 
-def test_upper_error_bound_overflow_is_reported():
-    with pytest.raises(NumericError, match=r"n=2000, e=1000, cf=0\.25"):
-        upper_error_bound(0.25, 2000, 1000)
+def test_upper_error_bound_is_finite_at_large_n():
+    # the float binomial terms of a direct sum overflow from n of about 1030
+    beta = pytest.importorskip("scipy.stats").beta
+    for n, e in ((2000, 1000), (1050, 490)):
+        bound = upper_error_bound(0.25, n, e)
+        assert math.isfinite(bound)
+        assert bound == pytest.approx(beta.ppf(0.75, e + 1, n - e), abs=1e-12)
+
+
+def test_prune_tree_computes_each_bound_once_per_call(monkeypatch):
+    import lftmine.dtree as dtree
+
+    calls = []
+
+    def counted(cf, n, e):
+        calls.append((cf, n, e))
+        return upper_error_bound(cf, n, e)
+
+    monkeypatch.setattr(dtree, "upper_error_bound", counted)
+    # the two children share (n, e) = (5, 1)
+    left = TreeNode(counts={"e": 1, "b": 4}, label="b", n_total=5, n_errors=1)
+    right = TreeNode(counts={"e": 4, "b": 1}, label="e", n_total=5, n_errors=1)
+    root = TreeNode(
+        counts={"e": 5, "b": 5},
+        label="b",
+        n_total=10,
+        n_errors=5,
+        attribute="x",
+        attr_index=0,
+        threshold=5.0,
+        left=left,
+        right=right,
+    )
+    tree = DecisionTree(root=root, attributes=("x",), classes=("e", "b"), min_leaf=1)
+    prune_tree(tree, 0.25)
+    assert sorted(calls) == [(0.25, 5, 1), (0.25, 10, 5)]
+    # the memo ends with the call: a second prune computes the bounds again
+    prune_tree(tree, 0.25)
+    assert len(calls) == 4
 
 
 # a leaf (n, e) with 1 <= n <= 150 and 0 <= e <= n

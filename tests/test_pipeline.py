@@ -60,6 +60,24 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"surrogate": {"wiggle": 2.0}})
     with pytest.raises(SchemaError, match="must be a JSON object"):
         config_from_dict([1, 2])
+    with pytest.raises(SchemaError, match="surrogate document must be a JSON object"):
+        config_from_dict({"surrogate": None})
+
+
+def test_config_values_take_their_field_types():
+    cfg = config_from_dict(
+        {
+            "seed": "4",
+            "peak_window": "0.25",
+            "cf_ladder": ["0.1", 0.05],
+            "surrogate": {"fold_count": "6"},
+        }
+    )
+    assert (cfg.seed, cfg.peak_window, cfg.cf_ladder) == (4, 0.25, (0.1, 0.05))
+    assert cfg.surrogate.fold_count == 6
+    assert config_from_dict({"surrogate": {"fold_count": None}}).surrogate.fold_count is None
+    with pytest.raises(SchemaError, match="malformed config value"):
+        config_from_dict({"k": "many"})
 
 
 def test_config_validation():
