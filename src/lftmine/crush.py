@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BoundsError, TraceError
-from .geometry import DESIGN_BOUNDS, DerivedGeometry, DesignPoint, MaterialSpec, TubeConstants
+from .geometry import DESIGN_BOUNDS, TUBE_A, TUBE_H, DerivedGeometry, DesignPoint, MaterialSpec
 
 N_TO_KN = 1e-3
 
@@ -142,12 +142,12 @@ class SurrogateParams:
         return max(4, n_layers)
 
 
-def mean_tube_force(t: float, tube_mat: MaterialSpec, c: TubeConstants) -> float:
+def mean_tube_force(t: float, tube_mat: MaterialSpec) -> float:
     """Square-tube progressive-folding mean crush force in kN."""
     lo, hi = DESIGN_BOUNDS["t"]
     if not lo <= t <= hi:
         raise BoundsError(f"tube thickness t={t} outside allowed range [{lo}, {hi}]")
-    return 13.06 * tube_mat.sigma_flow * c.a ** (1.0 / 3.0) * t ** (5.0 / 3.0) * N_TO_KN
+    return 13.06 * tube_mat.sigma_flow * TUBE_A ** (1.0 / 3.0) * t ** (5.0 / 3.0) * N_TO_KN
 
 
 def mean_lattice_force(
@@ -167,25 +167,21 @@ def crush_inputs(
     tube_mat: MaterialSpec,
     lat_mat: MaterialSpec,
     p: SurrogateParams = SurrogateParams(),
-    c: TubeConstants = TubeConstants(),
 ) -> tuple[float, float, int]:
     """Mean force (kN), crush distance (mm) and fold count of a lattice-filled tube."""
     if dp.d < 0:
         raise BoundsError(f"rod diameter d={dp.d} must be non-negative")
-    pm = mean_tube_force(dp.t, tube_mat, c) + p.interaction_factor * mean_lattice_force(
+    pm = mean_tube_force(dp.t, tube_mat) + p.interaction_factor * mean_lattice_force(
         dp, g, lat_mat, p
     )
-    return pm, p.crush_fraction * (c.H - dp.h), p.folds_for(dp.n)
+    return pm, p.crush_fraction * (TUBE_H - dp.h), p.folds_for(dp.n)
 
 
 def hollow_inputs(
-    t: float,
-    tube_mat: MaterialSpec,
-    p: SurrogateParams = SurrogateParams(),
-    c: TubeConstants = TubeConstants(),
+    t: float, tube_mat: MaterialSpec, p: SurrogateParams = SurrogateParams()
 ) -> tuple[float, float, int]:
     """Mean force, crush distance and fold count of the hollow tube."""
-    return mean_tube_force(t, tube_mat, c), p.crush_fraction * c.H, p.folds_for(0)
+    return mean_tube_force(t, tube_mat), p.crush_fraction * TUBE_H, p.folds_for(0)
 
 
 @dataclass(frozen=True)
@@ -292,21 +288,17 @@ def simulate_crush(
     tube_mat: MaterialSpec,
     lat_mat: MaterialSpec,
     p: SurrogateParams = SurrogateParams(),
-    c: TubeConstants = TubeConstants(),
 ) -> CrushTrace:
     """Deterministic surrogate trace for a lattice-filled tube."""
-    pm, z, folds = crush_inputs(dp, g, tube_mat, lat_mat, p, c)
+    pm, z, folds = crush_inputs(dp, g, tube_mat, lat_mat, p)
     return surrogate_traces([pm], [z], [folds], p).trace(0)
 
 
 def hollow_trace(
-    t: float,
-    tube_mat: MaterialSpec,
-    p: SurrogateParams = SurrogateParams(),
-    c: TubeConstants = TubeConstants(),
+    t: float, tube_mat: MaterialSpec, p: SurrogateParams = SurrogateParams()
 ) -> CrushTrace:
     """Surrogate trace for the hollow tube of the same thickness."""
-    pm, z, folds = hollow_inputs(t, tube_mat, p, c)
+    pm, z, folds = hollow_inputs(t, tube_mat, p)
     return surrogate_traces([pm], [z], [folds], p).trace(0)
 
 

@@ -10,51 +10,18 @@ rounded to the nearest admissible integer, which keeps the marginal counts
 near-uniform.
 
 Reproducibility contract: the generator is numpy's PCG64 seeded with a
-64-bit integer; the same (space, k, seed) always yields the same list.
+64-bit integer; the same (k, seed) always yields the same list.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsError
 from .geometry import DESIGN_BOUNDS, INTEGER_VARIABLES, DesignPoint
 
 VARIABLE_ORDER = ("n", "m", "d", "t", "h")
-
-
-@dataclass(frozen=True)
-class VariableBounds:
-    lower: float
-    upper: float
-    integer: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise BoundsError(f"lower bound {self.lower} must be below upper {self.upper}")
-
-
-@dataclass(frozen=True)
-class DesignSpace:
-    """Per-variable bounds and integrality flags; defaults to the design box."""
-
-    variables: dict[str, VariableBounds] = field(
-        default_factory=lambda: {
-            name: VariableBounds(*DESIGN_BOUNDS[name], integer=name in INTEGER_VARIABLES)
-            for name in VARIABLE_ORDER
-        }
-    )
-
-    def __post_init__(self) -> None:
-        missing = [name for name in VARIABLE_ORDER if name not in self.variables]
-        if missing:
-            raise BoundsError(f"design space missing variables: {missing}")
-
-    def bounds(self, name: str) -> VariableBounds:
-        return self.variables[name]
 
 
 def stratified_column(rng: np.random.Generator, k: int, lower: float, upper: float) -> np.ndarray:
@@ -69,7 +36,7 @@ def round_to_integers(values: np.ndarray, lower: int, upper: int) -> np.ndarray:
     return np.clip(np.floor(values + 0.5), lower, upper).astype(int)
 
 
-def lhs_sample(space: DesignSpace | None = None, k: int = 150, seed: int = 0) -> list[DesignPoint]:
+def lhs_sample(k: int = 150, seed: int = 0) -> list[DesignPoint]:
     """Draw k design points by Latin Hypercube sampling.
 
     Columns are generated in the fixed order (n, m, d, t, h) so the RNG
@@ -77,18 +44,16 @@ def lhs_sample(space: DesignSpace | None = None, k: int = 150, seed: int = 0) ->
     """
     if k < 1:
         raise ValueError(f"sample count k={k} must be at least 1")
-    if space is None:
-        space = DesignSpace()
 
     rng = np.random.default_rng(seed)
     columns: dict[str, np.ndarray] = {}
     for name in VARIABLE_ORDER:
-        vb = space.bounds(name)
-        if vb.integer:
-            raw = stratified_column(rng, k, vb.lower - 0.5, vb.upper + 0.5)
-            columns[name] = round_to_integers(raw, int(vb.lower), int(vb.upper))
+        lower, upper = DESIGN_BOUNDS[name]
+        if name in INTEGER_VARIABLES:
+            raw = stratified_column(rng, k, lower - 0.5, upper + 0.5)
+            columns[name] = round_to_integers(raw, int(lower), int(upper))
         else:
-            columns[name] = stratified_column(rng, k, vb.lower, vb.upper)
+            columns[name] = stratified_column(rng, k, lower, upper)
 
     return design_points(columns)
 

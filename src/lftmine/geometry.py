@@ -10,9 +10,10 @@ described by five design variables:
 * ``t``  tube wall thickness, mm
 * ``h``  height difference between tube and lattice, mm
 
-The lattice fully fills the tube cross-section (minus a gap ``s`` on each
-side), so rod length ``l`` and rod inclination ``omega`` are functions of
-(n, m, h):
+The paper studies one tube, so ``a``, ``H`` and ``s`` are the module
+constants ``TUBE_A``, ``TUBE_H`` and ``LATTICE_GAP``. The lattice fully
+fills the tube cross-section (minus the gap ``s`` on each side), so rod
+length ``l`` and rod inclination ``omega`` are functions of (n, m, h):
 
     tan(omega) = ((H - h) / (2 n)) / ((a - 2 s) / (sqrt(2) m))
     l          = ((H - h) / (2 n)) / sin(omega)
@@ -38,6 +39,12 @@ DESIGN_BOUNDS: dict[str, tuple[float, float]] = {
 }
 
 INTEGER_VARIABLES = ("n", "m")
+
+# The one tube every design fills, mm: outer side a of the square section,
+# height H, and gap s between the tube wall and the lattice envelope.
+TUBE_A = 75.0
+TUBE_H = 200.0
+LATTICE_GAP = 1.0
 
 # Flow stress used by the crush surrogate when none is configured:
 # midway between yield and 10% hardened yield.
@@ -66,26 +73,6 @@ def check_design_point(dp: DesignPoint) -> None:
             )
         if name in INTEGER_VARIABLES and value != int(value):
             raise BoundsError(f"design variable {name}={value} must be an integer")
-
-
-@dataclass(frozen=True)
-class TubeConstants:
-    """Fixed tube dimensions shared by every design.
-
-    a: outer side length of the square tube, mm
-    H: tube height, mm
-    s: gap between tube wall and lattice envelope, mm
-    """
-
-    a: float = 75.0
-    H: float = 200.0
-    s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.a <= 2 * self.s:
-            raise BoundsError(f"tube side a={self.a} must exceed twice the gap s={self.s}")
-        if self.H <= DESIGN_BOUNDS["h"][1]:
-            raise BoundsError(f"tube height H={self.H} must exceed the h range")
 
 
 @dataclass(frozen=True)
@@ -155,7 +142,7 @@ class MassBreakdown:
     total_mass: float
 
 
-def derive_geometry(dp: DesignPoint, c: TubeConstants = TubeConstants()) -> DerivedGeometry:
+def derive_geometry(dp: DesignPoint) -> DerivedGeometry:
     """Derive strut angle, strut length and strut counts for a design.
 
     The diagonal rod spans half a cell height vertically and half the cell
@@ -169,19 +156,17 @@ def derive_geometry(dp: DesignPoint, c: TubeConstants = TubeConstants()) -> Deri
     columns per layer.
     """
     check_design_point(dp)
-    if dp.h >= c.H:
-        raise BoundsError(f"height difference h={dp.h} must be below tube height H={c.H}")
 
-    half_height = (c.H - dp.h) / (2 * dp.n)
-    half_diag = (c.a - 2 * c.s) / (math.sqrt(2) * dp.m)
+    half_height = (TUBE_H - dp.h) / (2 * dp.n)
+    half_diag = (TUBE_A - 2 * LATTICE_GAP) / (math.sqrt(2) * dp.m)
     omega = math.atan2(half_height, half_diag)
     l = half_height / math.sin(omega)
-    cell_height = (c.H - dp.h) / dp.n
+    cell_height = (TUBE_H - dp.h) / dp.n
     return DerivedGeometry(
         omega=omega,
         l=l,
         cell_height=cell_height,
-        cell_width=(c.a - 2 * c.s) / dp.m,
+        cell_width=(TUBE_A - 2 * LATTICE_GAP) / dp.m,
         n_diag=8 * dp.m * dp.m * dp.n,
         n_vert=(dp.m + 1) ** 2 * dp.n,
         vert_len=cell_height,
@@ -191,15 +176,14 @@ def derive_geometry(dp: DesignPoint, c: TubeConstants = TubeConstants()) -> Deri
 MM3_TO_M3 = 1e-9
 
 
-def tube_mass_kg(t: float, mat: MaterialSpec, c: TubeConstants = TubeConstants()) -> float:
+def tube_mass_kg(t: float, mat: MaterialSpec) -> float:
     """Thin-shell square tube mass: 4 a H t rho, corner overlap ignored."""
-    return 4.0 * c.a * c.H * t * MM3_TO_M3 * mat.rho
+    return 4.0 * TUBE_A * TUBE_H * t * MM3_TO_M3 * mat.rho
 
 
 def compute_mass(
     dp: DesignPoint,
     g: DerivedGeometry,
-    c: TubeConstants,
     tube_mat: MaterialSpec,
     lat_mat: MaterialSpec,
 ) -> MassBreakdown:
@@ -214,7 +198,7 @@ def compute_mass(
     """
     rod_area = math.pi * dp.d * dp.d / 4.0
     lattice_vol = rod_area * (g.n_diag * g.l + g.n_vert * g.vert_len)
-    tube_mass = tube_mass_kg(dp.t, tube_mat, c)
+    tube_mass = tube_mass_kg(dp.t, tube_mat)
     lattice_mass = lattice_vol * MM3_TO_M3 * lat_mat.rho
     return MassBreakdown(
         tube_mass=tube_mass,

@@ -37,7 +37,6 @@ import numpy as np
 
 from ._version import __version__
 from .crush import (
-    CrushTrace,
     SurrogateParams,
     crush_inputs,
     hollow_inputs,
@@ -78,7 +77,6 @@ from .geometry import (
     DerivedGeometry,
     DesignPoint,
     MaterialSpec,
-    TubeConstants,
     compute_mass,
     derive_geometry,
     tube_mass_kg,
@@ -112,6 +110,8 @@ HOLLOW_THICKNESS_GRID = (0.8, 1.1, 1.4, 1.7, 2.0)
 
 # fixed reference design for one-variable sweeps
 SWEEP_ANCHOR = {"n": 3, "m": 4, "d": 2.0, "t": 1.1, "h": 3.0}
+# grid points of a sweep over a continuous variable
+SWEEP_POINTS = 9
 
 
 def material_by_name(name: str) -> MaterialSpec:
@@ -226,37 +226,24 @@ class DesignRecord:
         return tuple(values[a] for a in ATTRIBUTE_ORDER)
 
 
-def _geometry_and_mass(
-    dp: DesignPoint, cfg: RunConfig, c: TubeConstants
-) -> tuple[DerivedGeometry, float]:
+def _geometry_and_mass(dp: DesignPoint, cfg: RunConfig) -> tuple[DerivedGeometry, float]:
     """Derived geometry and total mass (kg) of one design."""
-    g = derive_geometry(dp, c)
-    return g, compute_mass(dp, g, c, cfg.tube, cfg.lattice).total_mass
-
-
-def evaluate_design(
-    dp: DesignPoint,
-    cfg: RunConfig = RunConfig(),
-    c: TubeConstants = TubeConstants(),
-    trace: CrushTrace | None = None,
-) -> tuple[float, float, CrushTrace, CrashMetrics]:
-    """Geometry, mass, trace, and indicators for one design.
-
-    Returns (omega_deg, l_mm, trace, metrics). A supplied trace (from an
-    external curve) replaces the surrogate simulation.
-    """
-    g, mass = _geometry_and_mass(dp, cfg, c)
-    if trace is None:
-        trace = simulate_crush(dp, g, cfg.tube, cfg.lattice, cfg.surrogate, c)
-    m = compute_metrics(trace, mass, cfg.peak_window)
-    return math.degrees(g.omega), g.l, trace, m
+    g = derive_geometry(dp)
+    return g, compute_mass(dp, g, cfg.tube, cfg.lattice).total_mass
 
 
 def record_for(index: int, dp: DesignPoint, cfg: RunConfig) -> DesignRecord:
     """One design evaluated and graded under the given index."""
-    omega_deg, l_mm, _, m = evaluate_design(dp, cfg)
+    g, mass = _geometry_and_mass(dp, cfg)
+    trace = simulate_crush(dp, g, cfg.tube, cfg.lattice, cfg.surrogate)
+    m = compute_metrics(trace, mass, cfg.peak_window)
     return DesignRecord(
-        index=index, point=dp, omega_deg=omega_deg, l_mm=l_mm, metrics=m, labels=label_all(m)
+        index=index,
+        point=dp,
+        omega_deg=math.degrees(g.omega),
+        l_mm=g.l,
+        metrics=m,
+        labels=label_all(m),
     )
 
 
@@ -326,11 +313,10 @@ def evaluate_many(
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-    c = TubeConstants()
 
     def inputs(dp: DesignPoint) -> tuple:
-        g, mass = _geometry_and_mass(dp, cfg, c)
-        pm, z, folds = crush_inputs(dp, g, cfg.tube, cfg.lattice, cfg.surrogate, c)
+        g, mass = _geometry_and_mass(dp, cfg)
+        pm, z, folds = crush_inputs(dp, g, cfg.tube, cfg.lattice, cfg.surrogate)
         return pm, z, folds, mass, math.degrees(g.omega), g.l
 
     rows, metrics = _surrogate_metrics(points, inputs, cfg, name, trace_dir)
@@ -747,22 +733,14 @@ def hollow_baseline_sea(t: float) -> float:
         raise BoundsError(
             f"thickness t={t} outside baseline range [{knots[0]}, {knots[-1]}]"
         )
-    for t0, t1 in zip(knots, knots[1:]):
-        if t <= t1:
-            if t <= t0:
-                return HOLLOW_SEA_BASELINES[t0]
-            w = (t - t0) / (t1 - t0)
-            return (1 - w) * HOLLOW_SEA_BASELINES[t0] + w * HOLLOW_SEA_BASELINES[t1]
-    return HOLLOW_SEA_BASELINES[knots[-1]]
+    return np.interp(t, knots, [HOLLOW_SEA_BASELINES[k] for k in knots]).item()
 
 
-def hollow_rows(
-    thicknesses: Sequence[float], cfg: RunConfig = RunConfig(), c: TubeConstants = TubeConstants()
-) -> list[CrashMetrics]:
+def hollow_rows(thicknesses: Sequence[float], cfg: RunConfig = RunConfig()) -> list[CrashMetrics]:
     """Indicators for the hollow tube at each wall thickness."""
 
     def inputs(t: float) -> tuple:
-        return (*hollow_inputs(t, cfg.tube, cfg.surrogate, c), tube_mass_kg(t, cfg.tube, c))
+        return (*hollow_inputs(t, cfg.tube, cfg.surrogate), tube_mass_kg(t, cfg.tube))
 
     return _surrogate_metrics(thicknesses, inputs, cfg, _unnamed)[1]
 
@@ -802,7 +780,6 @@ def run_hollow_report(
     out_dir: str | Path,
     records: Sequence[DesignRecord],
     paper_baselines: bool = False,
-    thicknesses: Sequence[float] = HOLLOW_THICKNESS_GRID,
 ) -> HollowComparison:
     """Compare every evaluated design against its hollow-tube baseline.
 
@@ -833,7 +810,7 @@ def run_hollow_report(
     (out / "hollow.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     grid_lines = ["t_mm,surrogate_sea_kj_per_kg,reference_sea_kj_per_kg"]
-    for t, m in zip(thicknesses, hollow_rows(thicknesses, cfg)):
+    for t, m in zip(HOLLOW_THICKNESS_GRID, hollow_rows(HOLLOW_THICKNESS_GRID, cfg)):
         grid_lines.append(f"{float(t)!r},{m.sea_kj_per_kg!r},{hollow_baseline_sea(t)!r}")
     (out / "hollow_grid.csv").write_text("\n".join(grid_lines) + "\n", encoding="utf-8")
 
@@ -865,13 +842,13 @@ def run_hollow_report(
     return report
 
 
-def sweep_values(variable: str, points: int = 9) -> list[float]:
+def sweep_values(variable: str) -> list[float]:
     if variable not in DESIGN_BOUNDS:
         raise SchemaError(f"unknown design variable {variable!r}")
     lo, hi = DESIGN_BOUNDS[variable]
     if variable in INTEGER_VARIABLES:
         return [float(v) for v in range(int(lo), int(hi) + 1)]
-    return [float(v) for v in np.linspace(lo, hi, points)]
+    return [float(v) for v in np.linspace(lo, hi, SWEEP_POINTS)]
 
 
 def run_sweep(

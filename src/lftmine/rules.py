@@ -24,13 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .doe import (
-    VARIABLE_ORDER,
-    DesignSpace,
-    design_points,
-    round_to_integers,
-    stratified_column,
-)
+from .doe import VARIABLE_ORDER, design_points, round_to_integers, stratified_column
 from .dtree import DecisionTree, TreeNode
 from .errors import (
     BoundsError,
@@ -39,7 +33,7 @@ from .errors import (
     RuleNotFoundError,
     SchemaError,
 )
-from .geometry import DesignPoint
+from .geometry import DESIGN_BOUNDS, INTEGER_VARIABLES, DesignPoint
 
 
 @dataclass(frozen=True)
@@ -161,9 +155,7 @@ def _stratified_open_low(rng: np.random.Generator, k: int, lower: float, upper: 
     return lower + (perm + 1.0 - u) / k * (upper - lower)
 
 
-def sample_in_rule(
-    rule: Rule, k: int = 5, seed: int = 0, space: DesignSpace | None = None
-) -> list[DesignPoint]:
+def sample_in_rule(rule: Rule, k: int = 5, seed: int = 0) -> list[DesignPoint]:
     """Stratified designs inside the rule region intersected with the box.
 
     Integer variables draw from the contiguous admissible integers; an
@@ -171,22 +163,21 @@ def sample_in_rule(
     """
     if k < 0:
         raise BoundsError(f"sample count k={k} must be non-negative")
-    space = space or DesignSpace()
     rng = np.random.default_rng(seed)
     columns: dict[str, np.ndarray] = {}
     for name in VARIABLE_ORDER:
-        b = space.bounds(name)
+        lower, upper = DESIGN_BOUNDS[name]
         iv = rule.conditions.get(name, Interval())
-        lo, lo_open = b.lower, False
-        if iv.lower is not None and iv.lower >= b.lower:
+        lo, lo_open = lower, False
+        if iv.lower is not None and iv.lower >= lower:
             lo, lo_open = iv.lower, True
-        hi = b.upper if iv.upper is None else min(b.upper, iv.upper)
+        hi = upper if iv.upper is None else min(upper, iv.upper)
         if hi < lo or (lo_open and hi <= lo):
             shape = f"({lo}, {hi}]" if lo_open else f"[{lo}, {hi}]"
             raise InfeasibleRuleError(
                 f"rule {rule.describe()!r} admits no {name} in {shape}"
             )
-        if b.integer:
+        if name in INTEGER_VARIABLES:
             c0 = math.floor(lo) + 1 if lo_open and lo == math.floor(lo) else math.ceil(lo)
             c1 = math.floor(hi)
             if c0 > c1:
@@ -222,7 +213,6 @@ def validate_rule(
     designs: Sequence[DesignPoint] | None = None,
     k: int = 5,
     seed: int = 0,
-    space: DesignSpace | None = None,
 ) -> RuleValidation:
     """Fidelity of a rule against an independent labeler.
 
@@ -230,7 +220,7 @@ def validate_rule(
     given (for checking against externally evaluated points).
     """
     if designs is None:
-        designs = sample_in_rule(rule, k=k, seed=seed, space=space)
+        designs = sample_in_rule(rule, k=k, seed=seed)
     if not designs:
         raise SchemaError("rule validation needs at least one design")
     labels = []

@@ -21,6 +21,12 @@ MARGIN_RIGHT = 24.0
 MARGIN_TOP = 44.0
 MARGIN_BOTTOM = 56.0
 
+# every chart is drawn at one size, px
+WIDTH = 640.0
+HEIGHT = 440.0
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+
 
 def _escape(text: str) -> str:
     return (
@@ -72,14 +78,18 @@ def _data_range(values: Sequence[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def scatter_svg(
-    series: Sequence[Series],
-    title: str,
-    x_label: str,
-    y_label: str,
-    width: float = 640.0,
-    height: float = 440.0,
-) -> str:
+def _frame(title: str) -> list[str]:
+    """Opening tag, white background and title shared by every chart."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:g}" height="{HEIGHT:g}" '
+        f'viewBox="0 0 {WIDTH:g} {HEIGHT:g}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH:g}" height="{HEIGHT:g}" fill="white"/>',
+        f'<text x="{_px(WIDTH / 2)}" y="22" text-anchor="middle" font-size="15">'
+        f"{_escape(title)}</text>",
+    ]
+
+
+def scatter_svg(series: Sequence[Series], title: str, x_label: str, y_label: str) -> str:
     """Scatter/line chart of one or more series."""
     if not series or not any(s.points for s in series):
         raise SchemaError("scatter chart needs at least one point")
@@ -87,25 +97,17 @@ def scatter_svg(
     ys = [y for s in series for _, y in s.points]
     x0, x1 = _data_range(xs)
     y0, y1 = _data_range(ys)
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
 
     def sx(x: float) -> float:
-        return MARGIN_LEFT + (x - x0) / (x1 - x0) * plot_w
+        return MARGIN_LEFT + (x - x0) / (x1 - x0) * PLOT_W
 
     def sy(y: float) -> float:
-        return MARGIN_TOP + plot_h - (y - y0) / (y1 - y0) * plot_h
+        return MARGIN_TOP + PLOT_H - (y - y0) / (y1 - y0) * PLOT_H
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
-        f'viewBox="0 0 {width:g} {height:g}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
-        f'<text x="{_px(width / 2)}" y="22" text-anchor="middle" font-size="15">'
-        f"{_escape(title)}</text>",
-    ]
+    out = _frame(title)
     # axes and ticks
-    ax_b = MARGIN_TOP + plot_h
-    ax_r = MARGIN_LEFT + plot_w
+    ax_b = MARGIN_TOP + PLOT_H
+    ax_r = MARGIN_LEFT + PLOT_W
     out.append(
         f'<line x1="{_px(MARGIN_LEFT)}" y1="{_px(ax_b)}" x2="{_px(ax_r)}" y2="{_px(ax_b)}" '
         'stroke="black"/>'
@@ -132,12 +134,12 @@ def scatter_svg(
             f"{ty:g}</text>"
         )
     out.append(
-        f'<text x="{_px(MARGIN_LEFT + plot_w / 2)}" y="{_px(height - 14)}" '
+        f'<text x="{_px(MARGIN_LEFT + PLOT_W / 2)}" y="{_px(HEIGHT - 14)}" '
         f'text-anchor="middle">{_escape(x_label)}</text>'
     )
     out.append(
-        f'<text x="16" y="{_px(MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_px(MARGIN_TOP + plot_h / 2)})">{_escape(y_label)}</text>'
+        f'<text x="16" y="{_px(MARGIN_TOP + PLOT_H / 2)}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {_px(MARGIN_TOP + PLOT_H / 2)})">{_escape(y_label)}</text>'
     )
     for si, s in enumerate(series):
         color = PALETTE[si % len(PALETTE)]
@@ -159,14 +161,7 @@ def scatter_svg(
     return "\n".join(out) + "\n"
 
 
-def bar_svg(
-    categories: Sequence[str],
-    values: Sequence[float],
-    title: str,
-    y_label: str,
-    width: float = 640.0,
-    height: float = 440.0,
-) -> str:
+def bar_svg(categories: Sequence[str], values: Sequence[float], title: str, y_label: str) -> str:
     """Vertical bar chart over labelled categories."""
     if not categories or len(categories) != len(values):
         raise SchemaError("bar chart needs matching non-empty categories and values")
@@ -174,22 +169,16 @@ def bar_svg(
     y1 = max(values)
     if y1 <= y0:
         y1 = y0 + 1.0
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
-    ax_b = MARGIN_TOP + plot_h
+    ax_b = MARGIN_TOP + PLOT_H
 
     def sy(y: float) -> float:
-        return MARGIN_TOP + plot_h - (y - y0) / (y1 - y0) * plot_h
+        return MARGIN_TOP + PLOT_H - (y - y0) / (y1 - y0) * PLOT_H
 
-    slot = plot_w / len(categories)
+    slot = PLOT_W / len(categories)
     bar_w = slot * 0.6
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
-        f'viewBox="0 0 {width:g} {height:g}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
-        f'<text x="{_px(width / 2)}" y="22" text-anchor="middle" font-size="15">'
-        f"{_escape(title)}</text>",
-        f'<line x1="{_px(MARGIN_LEFT)}" y1="{_px(ax_b)}" x2="{_px(MARGIN_LEFT + plot_w)}" '
+        *_frame(title),
+        f'<line x1="{_px(MARGIN_LEFT)}" y1="{_px(ax_b)}" x2="{_px(MARGIN_LEFT + PLOT_W)}" '
         f'y2="{_px(ax_b)}" stroke="black"/>',
         f'<line x1="{_px(MARGIN_LEFT)}" y1="{_px(MARGIN_TOP)}" x2="{_px(MARGIN_LEFT)}" '
         f'y2="{_px(ax_b)}" stroke="black"/>',
@@ -215,8 +204,8 @@ def bar_svg(
             f'<text x="{_px(cx)}" y="{_px(ax_b + 18)}" text-anchor="middle">{_escape(cat)}</text>'
         )
     out.append(
-        f'<text x="16" y="{_px(MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_px(MARGIN_TOP + plot_h / 2)})">{_escape(y_label)}</text>'
+        f'<text x="16" y="{_px(MARGIN_TOP + PLOT_H / 2)}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {_px(MARGIN_TOP + PLOT_H / 2)})">{_escape(y_label)}</text>'
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -30,7 +30,7 @@ from lftmine.dtree import (
     tree_stats,
     upper_error_bound,
 )
-from lftmine.geometry import DesignPoint, TubeConstants, derive_geometry
+from lftmine.geometry import LATTICE_GAP, TUBE_A, TUBE_H, DesignPoint, derive_geometry
 from lftmine.labeling import label_efficiency, label_lightweight, label_total_energy
 from lftmine.metrics import CrushTrace, compute_metrics, trapezoid_energy
 from lftmine.pipeline import RunConfig, run_pipeline, write_designs_csv
@@ -50,8 +50,7 @@ def criterion(num: int, title: str):
 def test_criterion_01_geometry_identities():
     with criterion(1, "strut identities hold to 1e-9 relative on 10^4 designs in < 1 s"):
         rng = random.Random(12345)
-        c = TubeConstants()
-        half_width = (c.a - 2.0 * c.s) / math.sqrt(2.0)
+        half_width = (TUBE_A - 2.0 * LATTICE_GAP) / math.sqrt(2.0)
         start = time.perf_counter()
         for _ in range(10_000):
             dp = DesignPoint(
@@ -61,8 +60,8 @@ def test_criterion_01_geometry_identities():
                 t=rng.uniform(0.8, 2.0),
                 h=rng.uniform(0.0, 5.0),
             )
-            g = derive_geometry(dp, c)
-            rise = (c.H - dp.h) / (2.0 * dp.n)
+            g = derive_geometry(dp)
+            rise = (TUBE_H - dp.h) / (2.0 * dp.n)
             run = half_width / dp.m
             assert abs(g.l * math.sin(g.omega) - rise) <= 1e-9 * rise
             assert abs(g.l * math.cos(g.omega) - run) <= 1e-9 * run

@@ -24,33 +24,30 @@ from lftmine.geometry import (
     AL6063_T5,
     ALSI10MG,
     DesignPoint,
-    TubeConstants,
     derive_geometry,
 )
-
-C = TubeConstants()
 
 
 def anchor_setup():
     dp = DesignPoint(n=3, m=4, d=2.0, t=1.1, h=3.0)
-    return dp, derive_geometry(dp, C), SurrogateParams()
+    return dp, derive_geometry(dp), SurrogateParams()
 
 
 def test_tube_mean_force_formula():
     """13.06 * 1.05*187 * 75^(1/3) * 1.4^(5/3) N -> 18.947 kN."""
-    got = mean_tube_force(1.4, AL6063_T5, C)
+    got = mean_tube_force(1.4, AL6063_T5)
     hand = 13.06 * (1.05 * 187.0) * 75.0 ** (1 / 3) * 1.4 ** (5 / 3) / 1000.0
     assert got == hand == 18.947033797450008
 
 
 def test_tube_mean_force_monotone_in_thickness():
-    forces = [mean_tube_force(t, AL6063_T5, C) for t in (0.8, 1.1, 1.4, 1.7, 2.0)]
+    forces = [mean_tube_force(t, AL6063_T5) for t in (0.8, 1.1, 1.4, 1.7, 2.0)]
     assert all(a < b for a, b in zip(forces, forces[1:]))
 
 
 def test_tube_mean_force_rejects_out_of_range_thickness():
     with pytest.raises(BoundsError, match="t=0"):
-        mean_tube_force(0.0, AL6063_T5, C)
+        mean_tube_force(0.0, AL6063_T5)
 
 
 def test_lattice_mean_force_formula():
@@ -65,7 +62,7 @@ def test_lattice_mean_force_formula():
 
 def test_total_mean_force_combines_tube_and_lattice():
     dp, g, p = anchor_setup()
-    total = mean_tube_force(dp.t, AL6063_T5, C) + p.interaction_factor * mean_lattice_force(
+    total = mean_tube_force(dp.t, AL6063_T5) + p.interaction_factor * mean_lattice_force(
         dp, g, ALSI10MG, p
     )
     assert math.isclose(total, 55.037177669643455, rel_tol=1e-12)
@@ -75,7 +72,7 @@ def test_trace_energy_matches_analytic_integral():
     """Trapezoid energy against the exact piecewise integral: triangle up
     to 2.5% of z, linear to the 5% knee, then the sinusoidal fold force."""
     dp, g, p = anchor_setup()
-    trace = simulate_crush(dp, g, AL6063_T5, ALSI10MG, p, C)
+    trace = simulate_crush(dp, g, AL6063_T5, ALSI10MG, p)
     pm = 55.037177669643455
     z = trace.z
     assert z == 0.7 * (200.0 - 3.0)
@@ -97,24 +94,24 @@ def test_trace_energy_matches_analytic_integral():
 def test_initial_peak_is_exact_apex_sample():
     # the grid always contains the apex, so max F is peak_factor * Pm
     dp, g, p = anchor_setup()
-    trace = simulate_crush(dp, g, AL6063_T5, ALSI10MG, p, C)
+    trace = simulate_crush(dp, g, AL6063_T5, ALSI10MG, p)
     assert max(f for _, f in trace.samples) == p.peak_factor * 55.037177669643455
 
 
 def test_zero_rod_diameter_reduces_to_hollow_tube():
     # with h=0 both traces crush 0.7*H and share the minimum fold count
     p = SurrogateParams()
-    g = derive_geometry(DesignPoint(n=4, m=2, d=1.0, t=1.4, h=0.0), C)
-    lft = simulate_crush(DesignPoint(n=4, m=2, d=0.0, t=1.4, h=0.0), g, AL6063_T5, ALSI10MG, p, C)
-    hollow = hollow_trace(1.4, AL6063_T5, p, C)
+    g = derive_geometry(DesignPoint(n=4, m=2, d=1.0, t=1.4, h=0.0))
+    lft = simulate_crush(DesignPoint(n=4, m=2, d=0.0, t=1.4, h=0.0), g, AL6063_T5, ALSI10MG, p)
+    hollow = hollow_trace(1.4, AL6063_T5, p)
     assert lft.samples == hollow.samples
 
 
 def test_negative_rod_diameter_rejected():
     p = SurrogateParams()
-    g = derive_geometry(DesignPoint(n=4, m=2, d=1.0, t=1.4, h=0.0), C)
+    g = derive_geometry(DesignPoint(n=4, m=2, d=1.0, t=1.4, h=0.0))
     with pytest.raises(BoundsError, match="d=-1"):
-        simulate_crush(DesignPoint(n=4, m=2, d=-1.0, t=1.4, h=0.0), g, AL6063_T5, ALSI10MG, p, C)
+        simulate_crush(DesignPoint(n=4, m=2, d=-1.0, t=1.4, h=0.0), g, AL6063_T5, ALSI10MG, p)
 
 
 def test_degenerate_parameters_flatten_the_trace():
@@ -122,7 +119,7 @@ def test_degenerate_parameters_flatten_the_trace():
     force everywhere past the initial 5% ramp."""
     p = SurrogateParams(fold_amplitude=0.0, peak_factor=1.0)
     dp, g, _ = anchor_setup()
-    trace = simulate_crush(dp, g, AL6063_T5, ALSI10MG, p, C)
+    trace = simulate_crush(dp, g, AL6063_T5, ALSI10MG, p)
     pm = 55.037177669643455
     tail = [f for x, f in trace.samples if x >= PEAK_END_FRACTION * trace.z]
     assert tail and all(math.isclose(f, pm, rel_tol=1e-12) for f in tail)
@@ -130,8 +127,8 @@ def test_degenerate_parameters_flatten_the_trace():
 
 def test_trace_is_deterministic():
     dp, g, p = anchor_setup()
-    a = simulate_crush(dp, g, AL6063_T5, ALSI10MG, p, C)
-    b = simulate_crush(dp, g, AL6063_T5, ALSI10MG, p, C)
+    a = simulate_crush(dp, g, AL6063_T5, ALSI10MG, p)
+    b = simulate_crush(dp, g, AL6063_T5, ALSI10MG, p)
     assert a.samples == b.samples
 
 
@@ -231,7 +228,7 @@ def test_trace_holds_arrays_and_batches_share_them():
 
 
 def test_trace_round_trips_bit_identically(tmp_path):
-    trace = hollow_trace(1.4, AL6063_T5, SurrogateParams(), C)
+    trace = hollow_trace(1.4, AL6063_T5, SurrogateParams())
     assert len(trace.samples) == 281
     path = tmp_path / "trace.csv"
     write_trace(trace, path)

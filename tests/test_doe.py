@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from lftmine.doe import (
-    VARIABLE_ORDER,
-    DesignSpace,
-    VariableBounds,
-    lhs_sample,
-    round_to_integers,
-    stratified_column,
-)
-from lftmine.geometry import check_design_point
+from lftmine.doe import lhs_sample, round_to_integers, stratified_column
+from lftmine.geometry import DESIGN_BOUNDS, check_design_point
 
 
 def test_continuous_marginals_fill_every_stratum():
@@ -19,11 +12,10 @@ def test_continuous_marginals_fill_every_stratum():
     equal-width bins of its range."""
     k = 150
     points = lhs_sample(k=k, seed=42)
-    space = DesignSpace()
     for name in ("d", "t", "h"):
-        b = space.bounds(name)
+        lower, upper = DESIGN_BOUNDS[name]
         values = np.array([getattr(p, name) for p in points])
-        bins = np.floor((values - b.lower) / (b.upper - b.lower) * k).astype(int)
+        bins = np.floor((values - lower) / (upper - lower) * k).astype(int)
         bins = np.clip(bins, 0, k - 1)
         assert sorted(bins) == list(range(k)), name
 
@@ -66,11 +58,6 @@ def test_sample_count_must_be_positive():
         lhs_sample(k=0, seed=0)
 
 
-def test_variable_bounds_ordering():
-    with pytest.raises(ValueError, match="lower"):
-        VariableBounds(lower=2.0, upper=2.0)
-
-
 def test_stratified_column_one_value_per_stratum():
     rng = np.random.default_rng(3)
     vals = stratified_column(rng, 20, 10.0, 30.0)
@@ -82,14 +69,3 @@ def test_round_to_integers_clips_and_rounds():
     vals = np.array([1.4, 1.6, 2.5, 6.9, 0.2])
     out = round_to_integers(vals, 2, 6)
     assert out.tolist() == [2, 2, 3, 6, 2]
-
-
-def test_custom_space_bounds_are_honored():
-    space = DesignSpace(
-        variables={
-            **{name: DesignSpace().bounds(name) for name in VARIABLE_ORDER},
-            "d": VariableBounds(lower=2.0, upper=2.5),
-        }
-    )
-    points = lhs_sample(space=space, k=40, seed=1)
-    assert all(2.0 <= p.d <= 2.5 for p in points)

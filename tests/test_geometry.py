@@ -11,9 +11,11 @@ from lftmine.geometry import (
     ALSI10MG,
     DESIGN_BOUNDS,
     FLOW_STRESS_FACTOR,
+    LATTICE_GAP,
+    TUBE_A,
+    TUBE_H,
     DesignPoint,
     MaterialSpec,
-    TubeConstants,
     compute_mass,
     derive_geometry,
     tube_mass_kg,
@@ -41,7 +43,6 @@ def test_projection_identities_random_designs():
     """l*sin(omega) recovers the half cell height and l*cos(omega) the half
     cell width, across the whole box."""
     rng = np.random.default_rng(7)
-    c = TubeConstants()
     for _ in range(200):
         dp = DesignPoint(
             n=int(rng.integers(2, 7)),
@@ -50,9 +51,9 @@ def test_projection_identities_random_designs():
             t=float(rng.uniform(0.8, 2)),
             h=float(rng.uniform(0, 5)),
         )
-        g = derive_geometry(dp, c)
-        height = (c.H - dp.h) / (2 * dp.n)
-        width = (c.a - 2 * c.s) / (math.sqrt(2) * dp.m)
+        g = derive_geometry(dp)
+        height = (TUBE_H - dp.h) / (2 * dp.n)
+        width = (TUBE_A - 2 * LATTICE_GAP) / (math.sqrt(2) * dp.m)
         assert math.isclose(g.l * math.sin(g.omega), height, rel_tol=1e-9)
         assert math.isclose(g.l * math.cos(g.omega), width, rel_tol=1e-9)
 
@@ -67,18 +68,17 @@ def test_lattice_mass_hand_value():
     pi*2^2/4, AlSi10Mg at 2670 kg/m^3 -> 0.0536779 kg."""
     dp = DesignPoint(n=4, m=2, d=2.0, t=1.4, h=0.0)
     g = derive_geometry(dp)
-    mass = compute_mass(dp, g, TubeConstants(), AL6063_T5, ALSI10MG)
+    mass = compute_mass(dp, g, AL6063_T5, ALSI10MG)
     assert math.isclose(mass.lattice_mass, 0.053677874737464985, rel_tol=1e-12)
     assert mass.total_mass == mass.tube_mass + mass.lattice_mass
 
 
 def test_mass_scales_with_rod_area():
     # doubling d quadruples the lattice mass, tube mass untouched
-    c = TubeConstants()
     thin = DesignPoint(n=3, m=3, d=1.0, t=1.0, h=2.0)
     thick = DesignPoint(n=3, m=3, d=2.0, t=1.0, h=2.0)
-    m1 = compute_mass(thin, derive_geometry(thin), c, AL6063_T5, ALSI10MG)
-    m2 = compute_mass(thick, derive_geometry(thick), c, AL6063_T5, ALSI10MG)
+    m1 = compute_mass(thin, derive_geometry(thin), AL6063_T5, ALSI10MG)
+    m2 = compute_mass(thick, derive_geometry(thick), AL6063_T5, ALSI10MG)
     assert math.isclose(m2.lattice_mass, 4 * m1.lattice_mass, rel_tol=1e-12)
     assert m2.tube_mass == m1.tube_mass
 
@@ -94,13 +94,6 @@ def test_design_point_bounds_checked_on_use():
     with pytest.raises(BoundsError, match="integer"):
         derive_geometry(DesignPoint(n=2.5, m=3, d=2.0, t=1.4, h=0.0))
     assert set(DESIGN_BOUNDS) == {"n", "m", "d", "t", "h"}
-
-
-def test_tube_constants_guard_their_own_shape():
-    with pytest.raises(BoundsError, match="exceed the h range"):
-        TubeConstants(a=75.0, H=4.0, s=1.0)
-    with pytest.raises(BoundsError, match="twice the gap"):
-        TubeConstants(a=2.0, H=200.0, s=1.0)
 
 
 def test_flow_stress_defaults_and_override():

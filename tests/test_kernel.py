@@ -17,14 +17,12 @@ from lftmine.geometry import (
     ALSI10MG,
     DESIGN_BOUNDS,
     DesignPoint,
-    TubeConstants,
     compute_mass,
     derive_geometry,
 )
 from lftmine.metrics import CrashMetrics, batch_metrics
 from lftmine.pipeline import RunConfig, evaluate_many
 
-C = TubeConstants()
 FAST = SurrogateParams(sample_step=2.0)
 
 
@@ -87,9 +85,9 @@ def reference_metrics(xs, fs, mass_kg, peak_window):
 
 
 def reference_inputs(dp, p):
-    g = derive_geometry(dp, C)
-    pm, z, folds = crush_inputs(dp, g, AL6063_T5, ALSI10MG, p, C)
-    return pm, z, folds, compute_mass(dp, g, C, AL6063_T5, ALSI10MG).total_mass
+    g = derive_geometry(dp)
+    pm, z, folds = crush_inputs(dp, g, AL6063_T5, ALSI10MG, p)
+    return pm, z, folds, compute_mass(dp, g, AL6063_T5, ALSI10MG).total_mass
 
 
 def bits(values):

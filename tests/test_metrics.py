@@ -6,7 +6,7 @@ import pytest
 
 from lftmine.crush import CrushTrace, SurrogateParams, simulate_crush
 from lftmine.errors import BoundsError
-from lftmine.geometry import AL6063_T5, ALSI10MG, DesignPoint, TubeConstants, derive_geometry
+from lftmine.geometry import AL6063_T5, ALSI10MG, DesignPoint, derive_geometry
 from lftmine.metrics import compute_metrics, peak_force, trapezoid_energy
 
 
@@ -86,9 +86,7 @@ def test_force_scaling_scales_all_but_cfe():
 def test_mean_force_consistency():
     # tea (kJ) recovers pm * z to floating precision on a surrogate trace
     dp = DesignPoint(n=3, m=4, d=2.0, t=1.1, h=3.0)
-    trace = simulate_crush(
-        dp, derive_geometry(dp), AL6063_T5, ALSI10MG, SurrogateParams(), TubeConstants()
-    )
+    trace = simulate_crush(dp, derive_geometry(dp), AL6063_T5, ALSI10MG, SurrogateParams())
     met = compute_metrics(trace, 0.333)
     assert math.isclose(met.tea_kj * 1000.0, met.pm_kn * met.z_mm, rel_tol=1e-9)
 
@@ -96,10 +94,8 @@ def test_mean_force_consistency():
 def test_halving_sample_step_barely_moves_tea():
     dp = DesignPoint(n=3, m=4, d=2.0, t=1.1, h=3.0)
     g = derive_geometry(dp)
-    coarse = simulate_crush(dp, g, AL6063_T5, ALSI10MG, SurrogateParams(), TubeConstants())
-    fine = simulate_crush(
-        dp, g, AL6063_T5, ALSI10MG, SurrogateParams(sample_step=0.25), TubeConstants()
-    )
+    coarse = simulate_crush(dp, g, AL6063_T5, ALSI10MG, SurrogateParams())
+    fine = simulate_crush(dp, g, AL6063_T5, ALSI10MG, SurrogateParams(sample_step=0.25))
     tea_c = trapezoid_energy(coarse)
     tea_f = trapezoid_energy(fine)
     assert abs(tea_c - tea_f) / tea_f < 0.001

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from conftest import EFFICIENCY_ROWS, rows_as_dataset
-from lftmine.doe import DesignSpace, VariableBounds
 from lftmine.dtree import build_tree, predict
 from lftmine.errors import BoundsError, InfeasibleRuleError, RuleNotFoundError, SchemaError
 from lftmine.geometry import DesignPoint
@@ -170,19 +169,6 @@ def test_sample_integer_sets():
         sample_in_rule(make_rule("e", {"n": Interval(lower=2.0, upper=2.9)}), k=4)
     with pytest.raises(InfeasibleRuleError, match="admits no d"):
         sample_in_rule(make_rule("e", {"d": Interval(lower=5.0)}), k=4)
-
-
-def test_sample_respects_custom_space():
-    space = DesignSpace()
-    space = DesignSpace(
-        variables={
-            **space.variables,
-            "d": VariableBounds(2.0, 2.5),
-        }
-    )
-    rule = make_rule("e", {})
-    designs = sample_in_rule(rule, k=8, seed=1, space=space)
-    assert all(2.0 <= dp.d <= 2.5 for dp in designs)
 
 
 def test_validate_rule_with_injected_designs():
