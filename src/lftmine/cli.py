@@ -84,19 +84,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     out = Path(args.out_dir)
     points = read_designs_csv(_require(out / "designs.csv", "sample"))
-    records = run_evaluate(points, cfg, out, trace_dir=args.trace_dir)
-    print(f"wrote {len(records)} evaluated designs to {out / 'metrics.csv'}")
+    table = run_evaluate(points, cfg, out, trace_dir=args.trace_dir)
+    print(f"wrote {len(table)} evaluated designs to {out / 'metrics.csv'}")
     if args.trace_dir:
-        print(f"wrote {len(records)} traces to {args.trace_dir}")
+        print(f"wrote {len(table)} traces to {args.trace_dir}")
     return 0
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    records = run_label(read_dataset_csv(_require(out / "metrics.csv", "evaluate")), out)
+    table = run_label(read_dataset_csv(_require(out / "metrics.csv", "evaluate")), out)
     print(f"wrote graded dataset to {out / 'dataset.csv'}")
     for obj in OBJECTIVES:
-        counts = class_counts(records, obj)
+        counts = class_counts(table, obj)
         print(f"  {obj}: " + " ".join(f"{c}={counts[c]}" for c in CLASS_ORDER))
     return 0
 
@@ -104,8 +104,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     out = Path(args.out_dir)
-    records = read_dataset_csv(_require(out / "dataset.csv", "label"))
-    tree = run_train(records, args.objective, cfg, out)
+    table = read_dataset_csv(_require(out / "dataset.csv", "label"))
+    tree = run_train(table, args.objective, cfg, out)
     print(format_tree(tree))
     print(f"wrote tree to {out / f'tree_{args.objective}.json'}")
     return 0
@@ -115,8 +115,8 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     out = Path(args.out_dir)
     tree = load_tree(_require(out / f"tree_{args.objective}.json", "train"))
-    records = read_dataset_csv(_require(out / "dataset.csv", "label"))
-    result = run_prune(tree, records, args.objective, cfg, out, cf=args.cf)
+    table = read_dataset_csv(_require(out / "dataset.csv", "label"))
+    result = run_prune(tree, table, args.objective, cfg, out, cf=args.cf)
     print(
         f"pruned {leaf_count(tree.root)} -> {leaf_count(result.tree.root)} leaves "
         f"(cf={result.cf}, mean class recall={result.recall:.3f})"
@@ -162,9 +162,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    records = run_sweep(args.variable, cfg, args.out_dir)
+    table = run_sweep(args.variable, cfg, args.out_dir)
     out = Path(args.out_dir)
-    print(f"wrote {len(records)} rows to {out / f'sweep_{args.variable}.csv'}")
+    print(f"wrote {len(table)} rows to {out / f'sweep_{args.variable}.csv'}")
     return 0
 
 
@@ -173,8 +173,8 @@ def _cmd_hollow(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     dataset = out / "dataset.csv"
     source = dataset if dataset.exists() else out / "metrics.csv"
-    records = read_dataset_csv(_require(source, "label"))
-    report = run_hollow_report(cfg, out, records, paper_baselines=args.paper_baselines)
+    table = read_dataset_csv(_require(source, "label"))
+    report = run_hollow_report(cfg, out, table, paper_baselines=args.paper_baselines)
     print(f"baseline source: {report.baseline}")
     print(
         f"{report.above} of {report.total} designs ({report.above_pct:.1f}%) "

@@ -60,15 +60,16 @@ def label_lightweight(sea: float, mass: float) -> str:
     return "b"
 
 
+# each objective's grading function and the indicator it reads beside SEA
+GRADERS = {"eff": label_efficiency, "tea": label_total_energy, "light": label_lightweight}
+SECOND_INDICATOR = {"eff": "cfe_pct", "tea": "tea_kj", "light": "mass_kg"}
+
+
 def label_metrics(m: CrashMetrics, objective: str) -> str:
     """Grade one design under the named objective."""
-    if objective == "eff":
-        return label_efficiency(m.sea_kj_per_kg, m.cfe_pct)
-    if objective == "tea":
-        return label_total_energy(m.sea_kj_per_kg, m.tea_kj)
-    if objective == "light":
-        return label_lightweight(m.sea_kj_per_kg, m.mass_kg)
-    raise SchemaError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
+    if objective not in GRADERS:
+        raise SchemaError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
+    return GRADERS[objective](m.sea_kj_per_kg, getattr(m, SECOND_INDICATOR[objective]))
 
 
 def label_all(m: CrashMetrics) -> dict[str, str]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,21 +87,22 @@ def peak_force(trace: CrushTrace, peak_window: float = DEFAULT_PEAK_WINDOW) -> f
     return float(_peaks(batch, peak_window * _ends(batch))[0])
 
 
-def batch_metrics(
+def metric_columns(
     batch: TraceBatch,
     mass_kg: Sequence[float],
     peak_window: float = DEFAULT_PEAK_WINDOW,
     name: Callable[[int], str] = lambda i: "",
-) -> list[CrashMetrics]:
+) -> np.ndarray:
     """Indicators of every trace in the batch and its structure mass.
 
-    A trace with a negative force, a non-positive mass or no force in the
-    initial window fails; the error of the first such trace i starts with
-    name(i).
+    Row j of the result holds field j of :class:`CrashMetrics` for every
+    trace. A trace with a negative force, a non-positive mass or no force
+    in the initial window fails; the error of the first such trace i
+    starts with name(i).
     """
     _check_window(peak_window)
     if not len(batch):
-        return []
+        return np.empty((len(fields(CrashMetrics)), 0))
     mass = np.asarray(mass_kg, dtype=float)
     starts = batch.starts[:-1]
     z = _ends(batch)
@@ -120,12 +121,12 @@ def batch_metrics(
     energy = np.array(_energies(batch))
     tea = energy / 1000.0
     pm = energy / z
-    columns = np.array((mass, tea, tea / mass, pm, pcf, 100.0 * pm / pcf, z))
-    return [CrashMetrics(*row) for row in columns.T.tolist()]
+    return np.array((mass, tea, tea / mass, pm, pcf, 100.0 * pm / pcf, z))
 
 
 def compute_metrics(
     trace: CrushTrace, mass_kg: float, peak_window: float = DEFAULT_PEAK_WINDOW
 ) -> CrashMetrics:
     """Evaluate all indicators for one trace and structure mass."""
-    return batch_metrics(TraceBatch.of(trace), [mass_kg], peak_window)[0]
+    columns = metric_columns(TraceBatch.of(trace), [mass_kg], peak_window)
+    return CrashMetrics(*columns[:, 0].tolist())

@@ -37,14 +37,15 @@ import numpy as np
 
 from ._version import __version__
 from .crush import (
+    N_TO_KN,
     SurrogateParams,
-    crush_inputs,
     hollow_inputs,
+    mean_tube_force,
     simulate_crush,
     surrogate_traces,
     write_trace,
 )
-from .doe import lhs_sample
+from .doe import VARIABLE_ORDER, design_points, lhs_sample
 from .dtree import (
     ATTRIBUTE_ORDER,
     PRUNE_CF_LADDER,
@@ -65,7 +66,6 @@ from .dtree import (
 from .errors import (
     BoundsError,
     InfeasibleRuleError,
-    LftError,
     RuleNotFoundError,
     SchemaError,
 )
@@ -74,15 +74,27 @@ from .geometry import (
     ALSI10MG,
     DESIGN_BOUNDS,
     INTEGER_VARIABLES,
+    LATTICE_GAP,
+    MM3_TO_M3,
+    TUBE_A,
+    TUBE_H,
     DerivedGeometry,
     DesignPoint,
     MaterialSpec,
+    check_design_point,
     compute_mass,
     derive_geometry,
     tube_mass_kg,
 )
-from .labeling import CLASS_ORDER, OBJECTIVES, label_all, label_metrics
-from .metrics import CrashMetrics, batch_metrics, compute_metrics
+from .labeling import (
+    CLASS_ORDER,
+    GRADERS,
+    OBJECTIVES,
+    SECOND_INDICATOR,
+    label_all,
+    label_metrics,
+)
+from .metrics import CrashMetrics, compute_metrics, metric_columns
 from .rules import (
     Rule,
     RuleValidation,
@@ -220,11 +232,6 @@ class DesignRecord:
     metrics: CrashMetrics
     labels: dict[str, str]
 
-    def attribute_row(self) -> tuple[float, ...]:
-        p = self.point
-        values = {"d": p.d, "n": float(p.n), "m": float(p.m), "t": p.t, "h": p.h}
-        return tuple(values[a] for a in ATTRIBUTE_ORDER)
-
 
 def _geometry_and_mass(dp: DesignPoint, cfg: RunConfig) -> tuple[DerivedGeometry, float]:
     """Derived geometry and total mass (kg) of one design."""
@@ -247,48 +254,70 @@ def record_for(index: int, dp: DesignPoint, cfg: RunConfig) -> DesignRecord:
     )
 
 
+# the CSV column of each design variable
+VARIABLE_COLUMNS = {"n": "n", "m": "m", "d": "d_mm", "t": "t_mm", "h": "h_mm"}
+# the indicator columns, in CrashMetrics field order
+METRIC_COLUMNS = tuple(METRICS_HEADER.split(",")[8:])
+
+
+@dataclass(frozen=True, eq=False)
+class DesignTable:
+    """Evaluated designs as columns, one row per design.
+
+    columns maps each column of DATASET_HEADER to one array: int64 for
+    index, n and m, one-character strings for the label_* grade columns,
+    float64 for the rest. The grade columns are absent until the table is
+    graded.
+    """
+
+    columns: Mapping[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.columns["index"])
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def grades(self, objective: str) -> np.ndarray:
+        return self.columns[f"label_{objective}"]
+
+
 # designs per kernel call: its arrays stay below 1 MB at the default sample
 # step whatever the design count; larger calls were no faster at k=20 000
-# and raised peak memory
+# and raised peak memory. Only the kernel is chunked; geometry, mass and
+# grading run over whole columns.
 EVAL_CHUNK = 64
 
 
 def _surrogate_metrics(
-    items: Sequence,
-    inputs: Callable[[object], tuple],
+    pm: np.ndarray,
+    z: np.ndarray,
+    folds: Sequence[int],
+    mass: np.ndarray,
     cfg: RunConfig,
     name: Callable[[int], str],
     trace_dir: Path | None = None,
-) -> tuple[list[tuple], list[CrashMetrics]]:
-    """Surrogate indicators of every item, EVAL_CHUNK items per kernel call.
+) -> dict[str, np.ndarray]:
+    """Indicator columns of designs given by their kernel inputs.
 
-    inputs(item) gives (mean force, crush distance, fold count, mass, ...)
-    and may raise; the rows come back beside the metrics. The error of the
-    first failing item i starts with name(i). Traces land in trace_dir as
+    Takes mean force, crush distance, fold count and mass per design and
+    runs EVAL_CHUNK designs per kernel call. The error of the first
+    failing design i starts with name(i). Traces land in trace_dir as
     design_<i>.csv.
     """
-    rows: list[tuple] = []
-    metrics: list[CrashMetrics] = []
-    for start in range(0, len(items), EVAL_CHUNK):
-        failed = None
-        for i, item in enumerate(items[start : start + EVAL_CHUNK], start):
-            try:
-                rows.append(inputs(item))
-            except LftError as exc:
-                failed = i, exc
-                break
-        chunk = rows[start:]
-        if chunk:
-            pm, z, folds, mass = list(zip(*chunk))[:4]
-            batch = surrogate_traces(pm, z, folds, cfg.surrogate)
-            metrics += batch_metrics(batch, mass, cfg.peak_window, lambda j: name(start + j))
-            if trace_dir is not None:
-                for j in range(len(batch)):
-                    write_trace(batch.trace(j), trace_dir / f"design_{start + j}.csv")
-        if failed is not None:
-            i, exc = failed
-            raise type(exc)(f"{name(i)}{exc}") from exc
-    return rows, metrics
+    parts = []
+    for start in range(0, len(pm), EVAL_CHUNK):
+        end = start + EVAL_CHUNK
+        batch = surrogate_traces(pm[start:end], z[start:end], folds[start:end], cfg.surrogate)
+        parts.append(
+            metric_columns(batch, mass[start:end], cfg.peak_window, lambda j: name(start + j))
+        )
+        if trace_dir is not None:
+            for j in range(len(batch)):
+                write_trace(batch.trace(j), trace_dir / f"design_{start + j}.csv")
+    columns = np.concatenate(parts, axis=1) if parts else np.empty((len(METRIC_COLUMNS), 0))
+    # zip drops the last row, z_mm, which has no CSV column
+    return dict(zip(METRIC_COLUMNS, columns))
 
 
 def _evaluate_name(i: int) -> str:
@@ -299,33 +328,74 @@ def _unnamed(i: int) -> str:
     return ""
 
 
+def _first_outside_box(design: np.ndarray) -> int:
+    """First row of (n, m, d, t, h) that check_design_point rejects, or the row count."""
+    bad = np.zeros(len(design), dtype=bool)
+    for name, column in zip(VARIABLE_ORDER, design.T):
+        lo, hi = DESIGN_BOUNDS[name]
+        bad |= ~((lo <= column) & (column <= hi))
+        if name in INTEGER_VARIABLES:
+            bad |= column != np.trunc(column)
+    return int(bad.argmax()) if bad.any() else len(design)
+
+
+def _column_inputs(
+    n: np.ndarray, m: np.ndarray, d: np.ndarray, t: np.ndarray, h: np.ndarray, cfg: RunConfig
+) -> tuple:
+    """(pm, z, folds, mass, omega_deg, l_mm) of in-box designs given as columns.
+
+    The operations of derive_geometry, compute_mass and crush_inputs in
+    the same order, so every value is the one-design path's float. atan2,
+    sin, degrees and the tube force's t ** (5/3) run per element through
+    math and **, because numpy's vectorized versions may round differently.
+    """
+    tube, lattice, p = cfg.tube, cfg.lattice, cfg.surrogate
+    half_height = (TUBE_H - h) / (2 * n)
+    half_diag = (TUBE_A - 2 * LATTICE_GAP) / (math.sqrt(2) * m)
+    omega = list(map(math.atan2, half_height.tolist(), half_diag.tolist()))
+    sin_omega = np.array(list(map(math.sin, omega)))
+    l = half_height / sin_omega
+    cell_height = (TUBE_H - h) / n
+    rod_area = math.pi * d * d / 4.0
+    lattice_vol = rod_area * (8 * m * m * n * l + (m + 1) ** 2 * n * cell_height)
+    mass = tube_mass_kg(t, tube) + lattice_vol * MM3_TO_M3 * lattice.rho
+    tube_force = np.array([mean_tube_force(v, tube) for v in t.tolist()])
+    struts = (m + 1) ** 2 + 8 * m * m * sin_omega
+    lattice_force = p.lattice_efficiency * lattice.sigma_flow * rod_area * struts * N_TO_KN
+    pm = tube_force + p.interaction_factor * lattice_force
+    folds = list(map(p.folds_for, n.astype(int).tolist()))
+    omega_deg = np.array(list(map(math.degrees, omega)))
+    return pm, p.crush_fraction * (TUBE_H - h), folds, mass, omega_deg, l
+
+
 def evaluate_many(
     points: Sequence[DesignPoint],
     cfg: RunConfig,
     trace_dir: str | Path | None = None,
     name: Callable[[int], str] = _evaluate_name,
-) -> list[DesignRecord]:
-    """Evaluate designs in input order, optionally dumping each trace.
+) -> DesignTable:
+    """Evaluate designs in input order into an ungraded table.
 
     Traces land in trace_dir as design_<index>.csv. A failure names the
-    design it happened on through name(index).
+    design it happened on through name(index); every design before it is
+    evaluated first, so the earliest failure is the one reported.
     """
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-
-    def inputs(dp: DesignPoint) -> tuple:
-        g, mass = _geometry_and_mass(dp, cfg)
-        pm, z, folds = crush_inputs(dp, g, cfg.tube, cfg.lattice, cfg.surrogate)
-        return pm, z, folds, mass, math.degrees(g.omega), g.l
-
-    rows, metrics = _surrogate_metrics(points, inputs, cfg, name, trace_dir)
-    return [
-        DesignRecord(
-            index=i, point=dp, omega_deg=omega_deg, l_mm=l_mm, metrics=m, labels=label_all(m)
-        )
-        for i, (dp, (*_, omega_deg, l_mm), m) in enumerate(zip(points, rows, metrics))
-    ]
+    design = np.array([(p.n, p.m, p.d, p.t, p.h) for p in points], dtype=float).reshape(-1, 5)
+    stop = _first_outside_box(design)
+    n, m, d, t, h = design[:stop].T
+    pm, z, folds, mass, omega_deg, l_mm = _column_inputs(n, m, d, t, h, cfg)
+    metrics = _surrogate_metrics(pm, z, folds, mass, cfg, name, trace_dir)
+    if stop < len(points):
+        try:
+            check_design_point(points[stop])
+        except BoundsError as exc:
+            raise BoundsError(f"{name(stop)}{exc}") from exc
+    columns = {"index": np.arange(stop), "n": n.astype(np.int64), "m": m.astype(np.int64)}
+    columns.update(d_mm=d, t_mm=t, h_mm=h, omega_deg=omega_deg, l_mm=l_mm, **metrics)
+    return DesignTable(columns)
 
 
 def write_designs_csv(points: Sequence[DesignPoint], path: str | Path) -> None:
@@ -335,9 +405,51 @@ def write_designs_csv(points: Sequence[DesignPoint], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_rows(path: str | Path, lines: Sequence[str], width: int, parse: Callable) -> list:
-    """parse() applied to the cells of every non-blank row after the header."""
-    out = []
+# rows per block when a table is read or written: bounds the cell strings
+# and Python numbers alive at once
+CSV_BLOCK = 4096
+
+
+def _ints(cells: Sequence[str]) -> np.ndarray:
+    return np.array(list(map(int, cells)), dtype=np.int64)
+
+
+def _floats(cells: Sequence[str]) -> np.ndarray:
+    return np.array(list(map(float, cells)))
+
+
+def _grades(cells: Sequence[str]) -> np.ndarray:
+    unknown = set(cells).difference(CLASS_ORDER)
+    if unknown:
+        expected = ", ".join(CLASS_ORDER)
+        raise ValueError(f"unknown grade {unknown.pop()!r}, expected one of {expected}")
+    return np.array(cells, dtype="U1")
+
+
+def _parse_columns(path: str | Path, lines: Sequence[str], names: Sequence[str]) -> dict:
+    """The non-blank rows after the header as one array per column.
+
+    index, n and m hold ints, label_* columns grades and the rest floats.
+    The first row of the wrong width or with a cell that does not parse
+    raises SchemaError naming its line number.
+    """
+    parsers = [
+        _ints if name in ("index", "n", "m") else _grades if name.startswith("label_") else _floats
+        for name in names
+    ]
+    width = len(names)
+    body = [line for line in lines[1:] if line.strip()]
+    blocks = [[parse(()) for parse in parsers]]
+    try:
+        for start in range(0, len(body), CSV_BLOCK):
+            rows = [line.split(",") for line in body[start : start + CSV_BLOCK]]
+            if any(len(parts) != width for parts in rows):
+                raise ValueError("ragged rows")
+            blocks.append([parse(column) for parse, column in zip(parsers, zip(*rows))])
+        return {name: np.concatenate(column) for name, column in zip(names, zip(*blocks))}
+    except (ValueError, OverflowError):
+        pass
+    # some row is bad: parse row by row to name the first one
     for row, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -345,99 +457,67 @@ def _parse_rows(path: str | Path, lines: Sequence[str], width: int, parse: Calla
         if len(parts) != width:
             raise SchemaError(f"{path}: row {row}: expected {width} columns, got {len(parts)}")
         try:
-            out.append(parse(parts))
-        except ValueError as exc:
+            for parse, cell in zip(parsers, parts):
+                parse([cell])
+        except (ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}: row {row}: {exc}") from exc
-    return out
-
-
-def _design_point(parts: Sequence[str]) -> DesignPoint:
-    # columns 1-5 of both the designs and the dataset tables
-    return DesignPoint(
-        n=int(parts[1]), m=int(parts[2]), d=float(parts[3]), t=float(parts[4]), h=float(parts[5])
-    )
+    raise AssertionError("a column failed to parse but every row parses")
 
 
 def read_designs_csv(path: str | Path) -> list[DesignPoint]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != DESIGNS_HEADER:
         raise SchemaError(f"{path}: expected header '{DESIGNS_HEADER}'")
-    return _parse_rows(path, lines, 6, _design_point)
+    columns = _parse_columns(path, lines, DESIGNS_HEADER.split(","))
+    return design_points({var: columns[name] for var, name in VARIABLE_COLUMNS.items()})
 
 
-def _record_line(r: DesignRecord, labeled: bool) -> str:
-    p, m = r.point, r.metrics
-    cells = (
-        f"{r.index},{p.n},{p.m},{p.d!r},{p.t!r},{p.h!r},{r.omega_deg!r},{r.l_mm!r},"
-        f"{m.mass_kg!r},{m.tea_kj!r},{m.sea_kj_per_kg!r},{m.pm_kn!r},{m.pcf_kn!r},{m.cfe_pct!r}"
-    )
-    if labeled:
-        cells += f",{r.labels['eff']},{r.labels['tea']},{r.labels['light']}"
-    return cells
-
-
-def write_dataset_csv(records: Sequence[DesignRecord], path: str | Path, labeled: bool = True):
+def write_dataset_csv(table: DesignTable, path: str | Path, labeled: bool = True) -> None:
     header = DATASET_HEADER if labeled else METRICS_HEADER
-    lines = [header]
-    lines.extend(_record_line(r, labeled) for r in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = [table[name] for name in header.split(",")]
+    # %s of a Python float is its repr
+    row = ",".join(["%s"] * len(columns))
+    blocks = [header]
+    for start in range(0, len(table), CSV_BLOCK):
+        cells = zip(*(column[start : start + CSV_BLOCK].tolist() for column in columns))
+        blocks.append("\n".join([row % values for values in cells]))
+    Path(path).write_text("\n".join(blocks) + "\n", encoding="utf-8")
 
 
-def read_dataset_csv(path: str | Path) -> list[DesignRecord]:
+def read_dataset_csv(path: str | Path) -> DesignTable:
     """Read a metrics or dataset table; grade columns are optional."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] not in (DATASET_HEADER, METRICS_HEADER):
         raise SchemaError(f"{path}: unrecognized header")
-    labeled = lines[0] == DATASET_HEADER
+    return DesignTable(_parse_columns(path, lines, lines[0].split(",")))
 
-    def parse(parts: Sequence[str]) -> DesignRecord:
-        point = _design_point(parts)
-        metrics = CrashMetrics(
-            mass_kg=float(parts[8]),
-            tea_kj=float(parts[9]),
-            sea_kj_per_kg=float(parts[10]),
-            pm_kn=float(parts[11]),
-            pcf_kn=float(parts[12]),
-            cfe_pct=float(parts[13]),
+
+def relabel(table: DesignTable) -> DesignTable:
+    """The table with every grade column filled from its indicator columns."""
+    sea = table["sea_kj_per_kg"].tolist()
+    grades = {
+        f"label_{obj}": np.array(
+            list(map(GRADERS[obj], sea, table[SECOND_INDICATOR[obj]].tolist())), dtype="U1"
         )
-        return DesignRecord(
-            index=int(parts[0]),
-            point=point,
-            omega_deg=float(parts[6]),
-            l_mm=float(parts[7]),
-            metrics=metrics,
-            labels={"eff": parts[14], "tea": parts[15], "light": parts[16]} if labeled else {},
-        )
-
-    return _parse_rows(path, lines, 17 if labeled else 14, parse)
+        for obj in OBJECTIVES
+    }
+    return DesignTable({**table.columns, **grades})
 
 
-def relabel(records: Sequence[DesignRecord]) -> list[DesignRecord]:
-    """Fill the grade columns from the stored indicator values."""
-    return [
-        DesignRecord(
-            index=r.index,
-            point=r.point,
-            omega_deg=r.omega_deg,
-            l_mm=r.l_mm,
-            metrics=r.metrics,
-            labels=label_all(r.metrics),
-        )
-        for r in records
-    ]
-
-
-def training_dataset(records: Sequence[DesignRecord], objective: str) -> Dataset:
+def training_dataset(table: DesignTable, objective: str) -> Dataset:
     """Attribute table (d, n, m, t, h) with one objective's grades."""
     if objective not in OBJECTIVES:
         raise SchemaError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
-    missing = [r.index for r in records if objective not in r.labels]
-    if missing:
-        raise SchemaError(f"records not graded yet (e.g. index {missing[0]}); run labeling first")
+    graded = f"label_{objective}" in table.columns
+    if not graded and len(table):
+        raise SchemaError(
+            f"records not graded yet (e.g. index {table['index'][0]}); run labeling first"
+        )
+    attributes = (table[VARIABLE_COLUMNS[a]].astype(float).tolist() for a in ATTRIBUTE_ORDER)
     return Dataset(
         attributes=ATTRIBUTE_ORDER,
-        rows=tuple(r.attribute_row() for r in records),
-        labels=tuple(r.labels[objective] for r in records),
+        rows=tuple(zip(*attributes)),
+        labels=tuple(table.grades(objective).tolist() if graded else ()),
     )
 
 
@@ -449,11 +529,9 @@ def write_json_atomic(doc: dict, path: str | Path) -> None:
     os.replace(tmp, path)
 
 
-def class_counts(records: Sequence[DesignRecord], objective: str) -> dict[str, int]:
-    counts = {c: 0 for c in CLASS_ORDER}
-    for r in records:
-        counts[r.labels[objective]] += 1
-    return counts
+def class_counts(table: DesignTable, objective: str) -> dict[str, int]:
+    grades = table.grades(objective)
+    return {c: int(np.count_nonzero(grades == c)) for c in CLASS_ORDER}
 
 
 # sampled designs per selected rule unless a run asks for another count
@@ -465,20 +543,16 @@ def _validation_seed(seed: int, objective: str, label: str) -> int:
     return seed + 7919 * (OBJECTIVES.index(objective) * len(CLASS_ORDER) + CLASS_ORDER.index(label) + 1)
 
 
-# second report column per objective, next to SEA
-VALIDATION_SECOND = {"eff": "cfe_pct", "tea": "tea_kj", "light": "mass_kg"}
-
-
 def validation_report_csv(
     objective: str, validations: Mapping[str, RuleValidation], cfg: RunConfig
 ) -> str:
     """Report table for the sampled rule checks: one row per design.
 
     Columns follow the printed validation tables: variables, SEA, the
-    objective's second indicator, and the observed grade. The rule column
-    is quoted because rule text contains commas.
+    indicator the objective grades beside SEA, and the observed grade. The
+    rule column is quoted because rule text contains commas.
     """
-    second = VALIDATION_SECOND[objective]
+    second = SECOND_INDICATOR[objective]
     lines = [f"rule,no,d_mm,n,m,h_mm,t_mm,sea_kj_per_kg,{second},label"]
     no = 0
     for label in CLASS_ORDER:
@@ -496,14 +570,11 @@ def validation_report_csv(
     return "\n".join(lines) + "\n"
 
 
-def _scatter_doc(records: Sequence[DesignRecord], objective: str) -> str:
+def _scatter_doc(table: DesignTable, objective: str) -> str:
     series = []
     for label in CLASS_ORDER:
-        pts = tuple(
-            (r.metrics.mass_kg, r.metrics.sea_kj_per_kg)
-            for r in records
-            if r.labels[objective] == label
-        )
+        chosen = table.grades(objective) == label
+        pts = tuple(zip(table["mass_kg"][chosen].tolist(), table["sea_kj_per_kg"][chosen].tolist()))
         if pts:
             series.append(Series(name=label, points=pts))
     return scatter_svg(
@@ -528,37 +599,37 @@ def run_evaluate(
     cfg: RunConfig,
     out_dir: str | Path,
     trace_dir: str | Path | None = None,
-) -> list[DesignRecord]:
+) -> DesignTable:
     """Crush model and indicators for every design; writes metrics.csv."""
-    records = evaluate_many(points, cfg, trace_dir=trace_dir)
-    write_dataset_csv(records, Path(out_dir) / "metrics.csv", labeled=False)
-    return records
+    table = evaluate_many(points, cfg, trace_dir=trace_dir)
+    write_dataset_csv(table, Path(out_dir) / "metrics.csv", labeled=False)
+    return table
 
 
-def run_label(records: Sequence[DesignRecord], out_dir: str | Path) -> list[DesignRecord]:
+def run_label(table: DesignTable, out_dir: str | Path) -> DesignTable:
     """Grades under every objective; writes dataset.csv."""
-    records = relabel(records)
-    write_dataset_csv(records, Path(out_dir) / "dataset.csv", labeled=True)
-    return records
+    table = relabel(table)
+    write_dataset_csv(table, Path(out_dir) / "dataset.csv", labeled=True)
+    return table
 
 
 def run_train(
-    records: Sequence[DesignRecord], objective: str, cfg: RunConfig, out_dir: str | Path
+    table: DesignTable, objective: str, cfg: RunConfig, out_dir: str | Path
 ) -> DecisionTree:
     """Unpruned tree; writes tree_OBJ.json, tree_OBJ.txt and scatter_OBJ.svg."""
     out = Path(out_dir)
-    tree = build_tree(training_dataset(records, objective), min_leaf=cfg.min_leaf)
+    tree = build_tree(training_dataset(table, objective), min_leaf=cfg.min_leaf)
     save_tree(tree, out / f"tree_{objective}.json")
     (out / f"tree_{objective}.txt").write_text(format_tree(tree) + "\n", encoding="utf-8")
     (out / f"scatter_{objective}.svg").write_text(
-        _scatter_doc(records, objective), encoding="utf-8"
+        _scatter_doc(table, objective), encoding="utf-8"
     )
     return tree
 
 
 def run_prune(
     tree: DecisionTree,
-    records: Sequence[DesignRecord],
+    table: DesignTable,
     objective: str,
     cfg: RunConfig,
     out_dir: str | Path,
@@ -569,7 +640,7 @@ def run_prune(
     Writes pruned_OBJ.json, pruned_OBJ.txt and pruned_OBJ.dot.
     """
     out = Path(out_dir)
-    data = training_dataset(records, objective)
+    data = training_dataset(table, objective)
     if cf is None:
         result = prune_with_ladder(tree, data, cfg.cf_ladder, cfg.recall_floor)
     else:
@@ -647,7 +718,7 @@ OBJECTIVE_FILES = (
 @dataclass(frozen=True)
 class PipelineResult:
     out_dir: Path
-    records: list[DesignRecord]
+    table: DesignTable
     files: list[str]
 
 
@@ -668,13 +739,13 @@ def run_pipeline(
     out = Path(out_dir)
     (out / "manifest.json").unlink(missing_ok=True)
     points = run_sample(cfg, out)
-    records = run_label(run_evaluate(points, cfg, out, trace_dir), out)
+    table = run_label(run_evaluate(points, cfg, out, trace_dir), out)
     files = ["designs.csv", "metrics.csv", "dataset.csv"]
-    summary = [f"designs evaluated: {len(records)}"]
+    summary = [f"designs evaluated: {len(table)}"]
     rule_docs, validated, pruning, fidelity = {}, {}, {}, {}
     for objective in objectives:
-        tree = run_train(records, objective, cfg, out)
-        pruned = run_prune(tree, records, objective, cfg, out)
+        tree = run_train(table, objective, cfg, out)
+        pruned = run_prune(tree, table, objective, cfg, out)
         rules, selected = run_rules(pruned.tree, objective, out)
         validations = run_validate(selected, objective, cfg, out, validation_k)
         files += [name.format(objective) for name in OBJECTIVE_FILES]
@@ -687,7 +758,7 @@ def run_pipeline(
             "average": average,
         }
 
-        counts = class_counts(records, objective)
+        counts = class_counts(table, objective)
         summary.append("")
         summary.append(f"objective {objective}: " + " ".join(f"{c}={counts[c]}" for c in CLASS_ORDER))
         summary.append(
@@ -712,18 +783,18 @@ def run_pipeline(
         "objectives": list(objectives),
         "rows": {
             "designs": len(points),
-            "evaluated": len(records),
-            "labeled": len(records),
+            "evaluated": len(table),
+            "labeled": len(table),
             "validated": validated,
         },
-        "class_counts": {obj: class_counts(records, obj) for obj in objectives},
+        "class_counts": {obj: class_counts(table, obj) for obj in objectives},
         "pruning": pruning,
         "fidelity_pct": fidelity,
         "artifacts": sorted(files),
     }
     write_json_atomic(manifest, out / "manifest.json")
     files.append("manifest.json")
-    return PipelineResult(out_dir=out, records=records, files=files)
+    return PipelineResult(out_dir=out, table=table, files=files)
 
 
 def hollow_baseline_sea(t: float) -> float:
@@ -736,13 +807,25 @@ def hollow_baseline_sea(t: float) -> float:
     return np.interp(t, knots, [HOLLOW_SEA_BASELINES[k] for k in knots]).item()
 
 
-def hollow_rows(thicknesses: Sequence[float], cfg: RunConfig = RunConfig()) -> list[CrashMetrics]:
-    """Indicators for the hollow tube at each wall thickness."""
+def hollow_rows(
+    thicknesses: Sequence[float], cfg: RunConfig = RunConfig()
+) -> dict[str, np.ndarray]:
+    """Indicator columns of the hollow tube at each wall thickness.
 
-    def inputs(t: float) -> tuple:
-        return (*hollow_inputs(t, cfg.tube, cfg.surrogate), tube_mass_kg(t, cfg.tube))
-
-    return _surrogate_metrics(thicknesses, inputs, cfg, _unnamed)[1]
+    Thicknesses before the first one outside the design box are evaluated
+    first, then that one raises the usual bounds error.
+    """
+    t = np.array(thicknesses, dtype=float)
+    lo, hi = DESIGN_BOUNDS["t"]
+    inside = (lo <= t) & (t <= hi)
+    stop = len(t) if inside.all() else int(inside.argmin())
+    t = t[:stop]
+    inputs = [hollow_inputs(v, cfg.tube, cfg.surrogate) for v in t.tolist()]
+    pm, z, folds = np.array(inputs).reshape(-1, 3).T
+    metrics = _surrogate_metrics(pm, z, folds, tube_mass_kg(t, cfg.tube), cfg, _unnamed)
+    if stop < len(thicknesses):
+        mean_tube_force(thicknesses[stop], cfg.tube)  # raises the bounds error
+    return metrics
 
 
 @dataclass(frozen=True)
@@ -778,7 +861,7 @@ class HollowComparison:
 def run_hollow_report(
     cfg: RunConfig,
     out_dir: str | Path,
-    records: Sequence[DesignRecord],
+    table: DesignTable,
     paper_baselines: bool = False,
 ) -> HollowComparison:
     """Compare every evaluated design against its hollow-tube baseline.
@@ -790,28 +873,25 @@ def run_hollow_report(
     standard thickness grid, hollow_summary.json with the counts, and
     hollow.svg charting them.
     """
-    if not records:
+    if not len(table):
         raise SchemaError("hollow report needs at least one evaluated design")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    index, t, sea = (table[name].tolist() for name in ("index", "t_mm", "sea_kj_per_kg"))
     if paper_baselines:
-        baselines = [hollow_baseline_sea(r.point.t) for r in records]
+        baselines = [hollow_baseline_sea(v) for v in t]
     else:
-        baselines = [m.sea_kj_per_kg for m in hollow_rows([r.point.t for r in records], cfg)]
-    deltas: list[float] = []
+        baselines = hollow_rows(t, cfg)["sea_kj_per_kg"].tolist()
+    deltas = [100.0 * (s - base) / base for s, base in zip(sea, baselines)]
     lines = ["index,t_mm,sea_kj_per_kg,baseline_sea_kj_per_kg,delta_pct"]
-    for r, base in zip(records, baselines):
-        delta = 100.0 * (r.metrics.sea_kj_per_kg - base) / base
-        deltas.append(delta)
-        lines.append(
-            f"{r.index},{r.point.t!r},{r.metrics.sea_kj_per_kg!r},{base!r},{delta!r}"
-        )
+    lines.extend(map("{},{!r},{!r},{!r},{!r}".format, index, t, sea, baselines, deltas))
     (out / "hollow.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     grid_lines = ["t_mm,surrogate_sea_kj_per_kg,reference_sea_kj_per_kg"]
-    for t, m in zip(HOLLOW_THICKNESS_GRID, hollow_rows(HOLLOW_THICKNESS_GRID, cfg)):
-        grid_lines.append(f"{float(t)!r},{m.sea_kj_per_kg!r},{hollow_baseline_sea(t)!r}")
+    grid_sea = hollow_rows(HOLLOW_THICKNESS_GRID, cfg)["sea_kj_per_kg"].tolist()
+    for v, v_sea in zip(HOLLOW_THICKNESS_GRID, grid_sea):
+        grid_lines.append(f"{float(v)!r},{v_sea!r},{hollow_baseline_sea(v)!r}")
     (out / "hollow_grid.csv").write_text("\n".join(grid_lines) + "\n", encoding="utf-8")
 
     best = max(range(len(deltas)), key=lambda i: deltas[i])
@@ -825,9 +905,9 @@ def run_hollow_report(
         above_20=sum(1 for x in deltas if x > 20.0),
         above_50=sum(1 for x in deltas if x > 50.0),
         below=sum(1 for x in deltas if x <= 0),
-        max_increase_index=records[best].index,
+        max_increase_index=index[best],
         max_increase_pct=deltas[best],
-        max_decrease_index=records[worst].index,
+        max_decrease_index=index[worst],
         max_decrease_pct=deltas[worst],
     )
     write_json_atomic(report.to_dict(), out / "hollow_summary.json")
@@ -851,53 +931,30 @@ def sweep_values(variable: str) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, SWEEP_POINTS)]
 
 
-def run_sweep(
-    variable: str,
-    cfg: RunConfig,
-    out_dir: str | Path,
-    values: Sequence[float] | None = None,
-    anchor: Mapping[str, float] | None = None,
-) -> list[DesignRecord]:
-    """One-variable sweep with the other four variables held fixed.
+def run_sweep(variable: str, cfg: RunConfig, out_dir: str | Path) -> DesignTable:
+    """One-variable sweep with the other four variables held at SWEEP_ANCHOR.
 
-    The fixed point defaults to SWEEP_ANCHOR; overrides outside the
-    design box raise the usual bounds error. Writes a two-column CSV
-    (variable value, SEA) and a connected scatter chart.
+    Writes a two-column CSV (variable value, SEA) and a connected scatter
+    chart.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if values is None:
-        values = sweep_values(variable)
-    if not values:
-        raise BoundsError("sweep needs at least one grid value")
-    base = dict(SWEEP_ANCHOR)
-    if anchor:
-        unknown = sorted(set(anchor) - set(base))
-        if unknown:
-            raise SchemaError(f"unknown anchor variables: {', '.join(unknown)}")
-        base.update(anchor)
-    points = []
-    for v in values:
-        spec = dict(base)
-        spec[variable] = int(v) if variable in INTEGER_VARIABLES else float(v)
-        dp = DesignPoint(
-            n=int(spec["n"]), m=int(spec["m"]), d=float(spec["d"]), t=float(spec["t"]), h=float(spec["h"])
-        )
-        points.append(dp)
-    records = evaluate_many(points, cfg, name=_unnamed)
+    values = sweep_values(variable)
+    integer = variable in INTEGER_VARIABLES
+    points = [
+        DesignPoint(**{**SWEEP_ANCHOR, variable: int(v) if integer else v}) for v in values
+    ]
+    table = evaluate_many(points, cfg, name=_unnamed)
+    sea = table["sea_kj_per_kg"].tolist()
     lines = [f"{variable},sea_kj_per_kg"]
-    for v, r in zip(values, records):
-        cell = str(int(v)) if variable in INTEGER_VARIABLES else repr(float(v))
-        lines.append(f"{cell},{r.metrics.sea_kj_per_kg!r}")
+    for v, v_sea in zip(values, sea):
+        lines.append(f"{str(int(v)) if integer else repr(v)},{v_sea!r}")
     (out / f"sweep_{variable}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    pts = tuple(
-        (float(values[i]), records[i].metrics.sea_kj_per_kg) for i in range(len(records))
-    )
     svg = scatter_svg(
-        [Series(name="SEA", points=pts, connect=True)],
+        [Series(name="SEA", points=tuple(zip(values, sea)), connect=True)],
         title=f"SEA vs {variable} at the reference design",
         x_label=variable,
         y_label="SEA, kJ/kg",
     )
     (out / f"sweep_{variable}.svg").write_text(svg, encoding="utf-8")
-    return records
+    return table

@@ -1,7 +1,6 @@
 """Command-line workflow: staged runs, overrides, failure modes."""
 
 import json
-from pathlib import Path
 
 import pytest
 

@@ -1,6 +1,7 @@
 """Batch crush kernel: agreement with a scalar reference, chunking, edge cases."""
 
 import math
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,8 @@ from lftmine.geometry import (
     compute_mass,
     derive_geometry,
 )
-from lftmine.metrics import CrashMetrics, batch_metrics
+from lftmine.labeling import OBJECTIVES
+from lftmine.metrics import CrashMetrics, metric_columns
 from lftmine.pipeline import RunConfig, evaluate_many
 
 FAST = SurrogateParams(sample_step=2.0)
@@ -90,6 +92,22 @@ def reference_inputs(dp, p):
     return pm, z, folds, compute_mass(dp, g, AL6063_T5, ALSI10MG).total_mass
 
 
+def table_rows(table):
+    """Per row: the six CSV indicators, omega_deg, l_mm and the grades."""
+    graded = pipeline.relabel(table)
+    names = (*pipeline.METRIC_COLUMNS, "omega_deg", "l_mm")
+    grades = zip(*(graded.grades(obj).tolist() for obj in OBJECTIVES))
+    return [
+        (*row, dict(zip(OBJECTIVES, g)))
+        for row, g in zip(zip(*(table[name].tolist() for name in names)), grades)
+    ]
+
+
+def record_row(r):
+    """table_rows' tuple for one record of the one-design path."""
+    return (*astuple(r.metrics)[:6], r.omega_deg, r.l_mm, r.labels)
+
+
 def bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
@@ -105,8 +123,8 @@ def assert_matches_reference(points, cfg):
     inputs = [reference_inputs(dp, p) for dp in points]
     pm, z, folds, _ = zip(*inputs)
     batch = surrogate_traces(pm, z, folds, p)
-    records = evaluate_many(points, cfg)
-    assert len(batch) == len(records) == len(points)
+    table = evaluate_many(points, cfg)
+    assert len(batch) == len(table) == len(points)
     for i, (pm_i, z_i, folds_i, mass_i) in enumerate(inputs):
         xs, fs = reference_trace(pm_i, z_i, folds_i, p)
         a, b = batch.starts[i], batch.starts[i + 1]
@@ -118,9 +136,10 @@ def assert_matches_reference(points, cfg):
             # numpy's own vectorized sin, used on some CPUs, may be an ulp
             # off libm; the product and sum after it may round once more
             np.testing.assert_array_max_ulp(f, fs, maxulp=2)
-        # the reductions are exact given the samples
-        assert records[i].metrics == reference_metrics(
-            x.tolist(), f.tolist(), mass_i, cfg.peak_window
+        # the reductions are exact given the samples; z_mm is x[-1], checked above
+        expected = reference_metrics(x.tolist(), f.tolist(), mass_i, cfg.peak_window)
+        assert [table[name][i].item() for name in pipeline.METRIC_COLUMNS] == list(
+            astuple(expected)[:6]
         )
 
 
@@ -158,16 +177,14 @@ def test_kernel_matches_scalar_reference(points, p, peak_window):
 @given(st.lists(designs, min_size=1, max_size=7), surrogates)
 def test_results_do_not_depend_on_chunking(points, p):
     cfg = RunConfig(surrogate=p)
-    at_once = evaluate_many(points, cfg)
-    one_by_one = [evaluate_many([dp], cfg)[0] for dp in points]
+    at_once = table_rows(evaluate_many(points, cfg))
+    one_by_one = [table_rows(evaluate_many([dp], cfg))[0] for dp in points]
     with mock.patch.object(pipeline, "EVAL_CHUNK", 2):
-        in_pairs = evaluate_many(points, cfg)
-    # the one-design path (simulate_crush, compute_metrics) validation uses
-    single = [pipeline.record_for(i, dp, cfg) for i, dp in enumerate(points)]
-    for a, b, c, d in zip(at_once, one_by_one, in_pairs, single):
-        assert a.metrics == b.metrics == c.metrics == d.metrics
-        assert (a.omega_deg, a.l_mm) == (b.omega_deg, b.l_mm) == (c.omega_deg, c.l_mm)
-        assert (a.omega_deg, a.l_mm, a.labels) == (d.omega_deg, d.l_mm, d.labels)
+        in_pairs = table_rows(evaluate_many(points, cfg))
+    # the one-design path (derive_geometry, compute_mass, crush_inputs,
+    # simulate_crush, compute_metrics) that validation uses
+    single = [record_row(pipeline.record_for(i, dp, cfg)) for i, dp in enumerate(points)]
+    assert at_once == one_by_one == in_pairs == single
 
 
 def test_breakpoints_on_the_grid_are_not_repeated():
@@ -195,8 +212,8 @@ def test_integer_stroke_to_step_ratios_and_coarse_grids(step):
 def test_empty_input():
     batch = surrogate_traces([], [], [], SurrogateParams())
     assert len(batch) == 0 and batch.x.size == 0
-    assert batch_metrics(batch, [], 0.2) == []
-    assert evaluate_many([], RunConfig()) == []
+    assert metric_columns(batch, [], 0.2).shape == (7, 0)
+    assert len(evaluate_many([], RunConfig())) == 0
 
 
 def test_evaluate_cli_on_header_only_designs(tmp_path):

@@ -2,17 +2,27 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import EFFICIENCY_ROWS, reported_metrics
+from conftest import EFFICIENCY_ROWS
 from lftmine.crush import SurrogateParams
 from lftmine.doe import lhs_sample
 from lftmine.errors import BoundsError, SchemaError
 from lftmine.geometry import DesignPoint
-from lftmine.labeling import label_all
+from lftmine.labeling import OBJECTIVES, label_all
+from lftmine.metrics import CrashMetrics
 from lftmine.pipeline import (
     DATASET_HEADER,
+    METRIC_COLUMNS,
+    METRICS_HEADER,
+    SWEEP_ANCHOR,
+    DesignTable,
     RunConfig,
     class_counts,
     config_from_dict,
@@ -117,7 +127,8 @@ def test_record_oracle():
     assert math.isclose(m.cfe_pct, 76.2387178417826, rel_tol=1e-12)
     assert m.z_mm == 140.0
     assert r.labels == {"eff": "g", "tea": "b", "light": "g"}
-    assert r.attribute_row() == (2.0, 4.0, 2.0, 1.4, 0.0)
+    table = relabel(evaluate_many([dp], RunConfig()))
+    assert training_dataset(table, "eff").rows == ((2.0, 4.0, 2.0, 1.4, 0.0),)
 
 
 def test_evaluate_many_names_failing_design():
@@ -153,80 +164,157 @@ def test_designs_csv_round_trip(tmp_path):
 
 def test_dataset_csv_round_trip(tmp_path):
     cfg = RunConfig(surrogate=FAST)
-    records = evaluate_many(lhs_sample(k=6, seed=3), cfg)
+    table = relabel(evaluate_many(lhs_sample(k=6, seed=3), cfg))
     path = tmp_path / "dataset.csv"
-    write_dataset_csv(records, path)
+    write_dataset_csv(table, path)
     loaded = read_dataset_csv(path)
-    assert len(loaded) == len(records)
-    for a, b in zip(loaded, records):
-        assert a.index == b.index
-        assert a.point == b.point
-        assert a.omega_deg == b.omega_deg
-        assert a.l_mm == b.l_mm
-        assert a.labels == b.labels
-        assert a.metrics.sea_kj_per_kg == b.metrics.sea_kj_per_kg
-        assert a.metrics.cfe_pct == b.metrics.cfe_pct
+    assert len(loaded) == len(table)
+    for name in ("index", "n", "m", "d_mm", "t_mm", "h_mm", "omega_deg", "l_mm"):
+        assert loaded[name].tolist() == table[name].tolist()
+    for obj in OBJECTIVES:
+        assert loaded.grades(obj).tolist() == table.grades(obj).tolist()
+    assert loaded["sea_kj_per_kg"].tolist() == table["sea_kj_per_kg"].tolist()
+    assert loaded["cfe_pct"].tolist() == table["cfe_pct"].tolist()
 
 
 def test_metrics_csv_relabel(tmp_path):
     cfg = RunConfig(surrogate=FAST)
-    records = evaluate_many(lhs_sample(k=5, seed=6), cfg)
+    table = evaluate_many(lhs_sample(k=5, seed=6), cfg)
     path = tmp_path / "metrics.csv"
-    write_dataset_csv(records, path, labeled=False)
+    write_dataset_csv(table, path, labeled=False)
     loaded = read_dataset_csv(path)
-    assert all(r.labels == {} for r in loaded)
-    graded = relabel(loaded)
-    for got, want in zip(graded, records):
-        assert got.labels == want.labels
-        assert got.labels == label_all(got.metrics)
+    assert list(loaded.columns) == METRICS_HEADER.split(",")
+    graded, want = relabel(loaded), relabel(table)
+    for i, row in enumerate(zip(*(graded[name].tolist() for name in METRIC_COLUMNS))):
+        got = {obj: graded.grades(obj)[i] for obj in OBJECTIVES}
+        assert got == {obj: want.grades(obj)[i] for obj in OBJECTIVES}
+        assert got == label_all(CrashMetrics(*row))
+
+
+# (column, bad cell, the error text after "row N: ")
+READER_ERRORS = [
+    ("sea_kj_per_kg", "abc", "could not convert string to float: 'abc'"),
+    ("n", "5.0", "invalid literal for int() with base 10: '5.0'"),
+]
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["metrics", "dataset"])
+def test_reader_errors_name_the_row(tmp_path, labeled):
+    table = relabel(evaluate_many(lhs_sample(k=4, seed=5), RunConfig(surrogate=FAST)))
+    path = tmp_path / "table.csv"
+    write_dataset_csv(table, path, labeled=labeled)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    names = header.split(",")
+    width = len(names)
+
+    def read(lines):
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        return read_dataset_csv(path)
+
+    def error(lines):
+        with pytest.raises(SchemaError) as info:
+            read(lines)
+        return str(info.value)
+
+    for name, cell, message in READER_ERRORS:
+        for at in (0, 2):
+            cells = rows[at].split(",")
+            cells[names.index(name)] = cell
+            bad = [*rows[:at], ",".join(cells), *rows[at + 1 :]]
+            assert error(bad) == f"{path}: row {at + 2}: {message}"
+    short = rows[2].rsplit(",", 1)[0]
+    assert error([*rows[:2], short, rows[3]]) == (
+        f"{path}: row 4: expected {width} columns, got {width - 1}"
+    )
+    # blank lines are skipped but keep their line numbers
+    spaced = [rows[0], "", rows[1], "   ", rows[2], rows[3]]
+    loaded = read(spaced)
+    assert len(loaded) == 4
+    write_dataset_csv(loaded, path, labeled=labeled)
+    assert path.read_text(encoding="utf-8") == "\n".join([header, *rows]) + "\n"
+    assert error([*spaced[:4], short]) == (
+        f"{path}: row 6: expected {width} columns, got {width - 1}"
+    )
+
+
+def test_reader_rejects_unknown_grades(tmp_path):
+    table = relabel(evaluate_many(lhs_sample(k=4, seed=5), RunConfig(surrogate=FAST)))
+    path = tmp_path / "dataset.csv"
+    write_dataset_csv(table, path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    for column, grade in (("label_light", "x"), ("label_eff", "E"), ("label_tea", "")):
+        cells = rows[1].split(",")
+        cells[header.split(",").index(column)] = grade
+        lines = [header, rows[0], ",".join(cells), *rows[2:]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            read_dataset_csv(path)
+        assert str(info.value) == (
+            f"{path}: row 3: unknown grade {grade!r}, expected one of e, g, b"
+        )
+
+
+# both sides of repr's switch to exponent notation, signed zeros, subnormals
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-4, 9.999999999999999e-05,
+    1.0000000000000002e-4, 1e16, 9999999999999998.0, 1.0000000000000002e16, 1.7976931348623157e308,
+)
+cells = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_dataset_csv_round_trips_bit_for_bit(data):
+    k = data.draw(st.integers(0, 6))
+    columns = {}
+    for name in METRICS_HEADER.split(","):
+        if name in ("index", "n", "m"):
+            values = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=k, max_size=k)
+            columns[name] = np.array(data.draw(values), dtype=np.int64)
+        else:
+            columns[name] = np.array(data.draw(st.lists(cells, min_size=k, max_size=k)))
+    grades = st.lists(st.sampled_from("egb"), min_size=k, max_size=k)
+    for obj in OBJECTIVES:
+        columns[f"label_{obj}"] = np.array(data.draw(grades), dtype="U1")
+    table = DesignTable(columns)
+    with tempfile.TemporaryDirectory() as tmp:
+        for header in (METRICS_HEADER, DATASET_HEADER):
+            path = Path(tmp) / "table.csv"
+            write_dataset_csv(table, path, labeled=header == DATASET_HEADER)
+            loaded = read_dataset_csv(path)
+            assert list(loaded.columns) == header.split(",")
+            for name in header.split(","):
+                assert loaded[name].dtype == columns[name].dtype
+                assert loaded[name].tobytes() == columns[name].tobytes()
 
 
 def test_training_dataset_shape():
     rows = EFFICIENCY_ROWS[:4]
-    records = [
-        _fixture_record(i, d, n, m, h, t, sea, cfe, grade)
-        for i, (d, n, m, h, t, sea, cfe, grade) in enumerate(rows)
-    ]
-    data = training_dataset(records, "eff")
+    table = _fixture_table(rows)
+    data = training_dataset(table, "eff")
     assert data.attributes == ("d", "n", "m", "t", "h")
     assert len(data) == 4
     assert data.labels == tuple(r[7] for r in rows)
+    assert data.rows[0] == (2.2, 6.0, 5.0, 1.1, 5.0)
     with pytest.raises(SchemaError, match="unknown objective 'mass'"):
-        training_dataset(records, "mass")
-    ungraded = [
-        type(r)(
-            index=r.index,
-            point=r.point,
-            omega_deg=r.omega_deg,
-            l_mm=r.l_mm,
-            metrics=r.metrics,
-            labels={},
-        )
-        for r in records
-    ]
+        training_dataset(table, "mass")
+    ungraded = DesignTable({k: v for k, v in table.columns.items() if k != "label_eff"})
     with pytest.raises(SchemaError, match=r"not graded yet \(e.g. index 0\)"):
         training_dataset(ungraded, "eff")
 
 
-def _fixture_record(i, d, n, m, h, t, sea, cfe, grade):
-    from lftmine.pipeline import DesignRecord
-
-    return DesignRecord(
-        index=i,
-        point=DesignPoint(n=int(n), m=int(m), d=float(d), t=float(t), h=float(h)),
-        omega_deg=0.0,
-        l_mm=0.0,
-        metrics=reported_metrics(sea=sea, cfe=cfe),
-        labels={"eff": grade},
-    )
+def _fixture_table(rows):
+    """Printed (d, n, m, h, t, SEA, CFE, grade) rows as a table graded for eff."""
+    d, n, m, h, t, sea, cfe, grade = zip(*rows)
+    columns = {name: np.zeros(len(rows)) for name in METRICS_HEADER.split(",")}
+    columns.update(index=np.arange(len(rows)), n=np.array(n), m=np.array(m))
+    columns.update(d_mm=np.array(d), t_mm=np.array(t), h_mm=np.array(h), mass_kg=np.ones(len(rows)))
+    columns.update(sea_kj_per_kg=np.array(sea), cfe_pct=np.array(cfe), label_eff=np.array(grade))
+    return DesignTable(columns)
 
 
 def test_class_counts():
-    records = [
-        _fixture_record(i, d, n, m, h, t, sea, cfe, grade)
-        for i, (d, n, m, h, t, sea, cfe, grade) in enumerate(EFFICIENCY_ROWS)
-    ]
-    counts = class_counts(records, "eff")
+    counts = class_counts(_fixture_table(EFFICIENCY_ROWS), "eff")
     assert counts == {"e": 5, "g": 3, "b": 7}
     assert sum(counts.values()) == len(EFFICIENCY_ROWS)
 
@@ -280,8 +368,8 @@ def test_hollow_baseline_interpolation():
 
 def test_hollow_report_counts(tmp_path):
     cfg = RunConfig(surrogate=FAST)
-    records = evaluate_many(lhs_sample(k=8, seed=9), cfg)
-    report = run_hollow_report(cfg, tmp_path, records)
+    table = evaluate_many(lhs_sample(k=8, seed=9), cfg)
+    report = run_hollow_report(cfg, tmp_path, table)
     assert report.baseline == "surrogate"
     assert report.total == 8
     assert report.above + report.below == 8
@@ -299,19 +387,19 @@ def test_hollow_report_counts(tmp_path):
     assert grid[0] == "t_mm,surrogate_sea_kj_per_kg,reference_sea_kj_per_kg"
     assert len(grid) == 6
     assert (tmp_path / "hollow.svg").exists()
-    ref = run_hollow_report(cfg, tmp_path, records, paper_baselines=True)
+    ref = run_hollow_report(cfg, tmp_path, table, paper_baselines=True)
     assert ref.baseline == "reference"
     with pytest.raises(SchemaError, match="at least one evaluated design"):
-        run_hollow_report(cfg, tmp_path, [])
+        run_hollow_report(cfg, tmp_path, evaluate_many([], cfg))
 
 
 def test_sweep_outputs(tmp_path):
     cfg = RunConfig(surrogate=FAST)
-    records = run_sweep("t", cfg, tmp_path)
+    table = run_sweep("t", cfg, tmp_path)
     lines = (tmp_path / "sweep_t.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,sea_kj_per_kg"
     assert len(lines) == 10
-    assert len(records) == 9
+    assert len(table) == 9
     assert (tmp_path / "sweep_t.svg").exists()
     # integer variables sweep their whole admissible set
     run_sweep("n", cfg, tmp_path)
@@ -321,12 +409,9 @@ def test_sweep_outputs(tmp_path):
 
 def test_sweep_anchor_and_errors(tmp_path):
     cfg = RunConfig(surrogate=FAST)
-    moved = run_sweep("t", cfg, tmp_path, values=[1.0], anchor={"d": 2.5})
-    assert moved[0].point.d == 2.5
-    assert moved[0].point.t == 1.0
-    with pytest.raises(SchemaError, match="unknown anchor variables: q"):
-        run_sweep("t", cfg, tmp_path, values=[1.0], anchor={"q": 1.0})
-    with pytest.raises(BoundsError, match="at least one grid value"):
-        run_sweep("t", cfg, tmp_path, values=[])
-    with pytest.raises(BoundsError, match="design variable d=9.0"):
-        run_sweep("t", cfg, tmp_path, values=[1.0], anchor={"d": 9.0})
+    table = run_sweep("t", cfg, tmp_path)
+    for var, name in (("n", "n"), ("m", "m"), ("d", "d_mm"), ("h", "h_mm")):
+        assert set(table[name].tolist()) == {SWEEP_ANCHOR[var]}
+    assert table["t_mm"].tolist() == [float(v) for v in np.linspace(0.8, 2.0, 9)]
+    with pytest.raises(SchemaError, match="unknown design variable 'q'"):
+        run_sweep("q", cfg, tmp_path)

@@ -54,3 +54,7 @@ def test_tube_is_not_a_parameter(fn):
 @pytest.mark.parametrize("fn", NO_SPACE_ARGUMENT, ids=lambda fn: fn.__name__)
 def test_design_box_is_not_a_parameter(fn):
     assert "space" not in inspect.signature(fn).parameters
+
+
+def test_sweep_grid_and_anchor_are_not_parameters():
+    assert list(inspect.signature(pipeline.run_sweep).parameters) == ["variable", "cfg", "out_dir"]

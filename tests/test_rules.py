@@ -1,6 +1,5 @@
 """Rule extraction, box tiling, region sampling, fidelity checks."""
 
-import math
 import random
 
 import pytest
