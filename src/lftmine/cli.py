@@ -297,10 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (LftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,24 +37,41 @@ def round_to_integers(values: np.ndarray, lower: int, upper: int) -> np.ndarray:
 
 
 def lhs_sample(k: int = 150, seed: int = 0) -> list[DesignPoint]:
-    """Draw k design points by Latin Hypercube sampling.
+    """Draw k design points by Latin Hypercube sampling over the design box."""
+    if k < 1:
+        raise ValueError(f"sample count k={k} must be at least 1")
+    box = {name: (lower, upper, False) for name, (lower, upper) in DESIGN_BOUNDS.items()}
+    return sample_ranges(k, seed, box)
 
+
+def sample_ranges(
+    k: int, seed: int, ranges: Mapping[str, tuple[float, float, bool]]
+) -> list[DesignPoint]:
+    """k design points by Latin Hypercube sampling over per-variable ranges.
+
+    The one sampler: lhs_sample runs it over the design box, and rule
+    validation over a rule's region intersected with the box. ranges maps
+    each variable to (lower, upper, open_low). A continuous variable fills
+    [lower, upper], or (lower, upper] when open_low; an integer variable
+    takes the integers lower to upper. A one-value range draws nothing.
     Columns are generated in the fixed order (n, m, d, t, h) so the RNG
     stream, and therefore the output, is fully determined by the seed.
     """
-    if k < 1:
-        raise ValueError(f"sample count k={k} must be at least 1")
-
     rng = np.random.default_rng(seed)
     columns: dict[str, np.ndarray] = {}
     for name in VARIABLE_ORDER:
-        lower, upper = DESIGN_BOUNDS[name]
-        if name in INTEGER_VARIABLES:
+        lower, upper, open_low = ranges[name]
+        if lower == upper:
+            columns[name] = np.full(k, lower)
+        elif name in INTEGER_VARIABLES:
             raw = stratified_column(rng, k, lower - 0.5, upper + 0.5)
-            columns[name] = round_to_integers(raw, int(lower), int(upper))
+            columns[name] = round_to_integers(raw, lower, upper)
+        elif open_low:
+            # the mirror image of stratified_column: values land in (lower, upper]
+            perm, u = rng.permutation(k), rng.random(k)
+            columns[name] = lower + (perm + 1.0 - u) / k * (upper - lower)
         else:
             columns[name] = stratified_column(rng, k, lower, upper)
-
     return design_points(columns)
 
 

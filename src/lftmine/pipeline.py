@@ -78,7 +78,6 @@ from .geometry import (
     MM3_TO_M3,
     TUBE_A,
     TUBE_H,
-    DerivedGeometry,
     DesignPoint,
     MaterialSpec,
     check_design_point,
@@ -91,7 +90,6 @@ from .labeling import (
     GRADERS,
     OBJECTIVES,
     SECOND_INDICATOR,
-    label_all,
     label_metrics,
 )
 from .metrics import CrashMetrics, compute_metrics, metric_columns
@@ -201,6 +199,10 @@ def _coerce(value: object, hint: object) -> object:
         return tuple(_coerce(v, args[0]) for v in value)
     if args:  # T | None
         return None if value is None else _coerce(value, args[0])
+    # int() would pass a bool as 0 or 1 and truncate a fraction without a word
+    fraction = isinstance(value, float) and not value.is_integer()
+    if hint is int and (isinstance(value, bool) or fraction):
+        raise ValueError(f"{value!r} is not an integer")
     return hint(value)
 
 
@@ -209,7 +211,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     _check_keys(RunConfig, doc, "config")
     try:
         return _coerce(doc, RunConfig)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed config value: {exc}") from exc
 
 
@@ -221,37 +223,12 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(doc)
 
 
-@dataclass(frozen=True, slots=True)
-class DesignRecord:
-    """One fully evaluated design; labels empty until graded."""
-
-    index: int
-    point: DesignPoint
-    omega_deg: float
-    l_mm: float
-    metrics: CrashMetrics
-    labels: dict[str, str]
-
-
-def _geometry_and_mass(dp: DesignPoint, cfg: RunConfig) -> tuple[DerivedGeometry, float]:
-    """Derived geometry and total mass (kg) of one design."""
+def record_for(dp: DesignPoint, cfg: RunConfig) -> CrashMetrics:
+    """Indicators of one design, evaluated on its own."""
     g = derive_geometry(dp)
-    return g, compute_mass(dp, g, cfg.tube, cfg.lattice).total_mass
-
-
-def record_for(index: int, dp: DesignPoint, cfg: RunConfig) -> DesignRecord:
-    """One design evaluated and graded under the given index."""
-    g, mass = _geometry_and_mass(dp, cfg)
+    mass = compute_mass(dp, g, cfg.tube, cfg.lattice).total_mass
     trace = simulate_crush(dp, g, cfg.tube, cfg.lattice, cfg.surrogate)
-    m = compute_metrics(trace, mass, cfg.peak_window)
-    return DesignRecord(
-        index=index,
-        point=dp,
-        omega_deg=math.degrees(g.omega),
-        l_mm=g.l,
-        metrics=m,
-        labels=label_all(m),
-    )
+    return compute_metrics(trace, mass, cfg.peak_window)
 
 
 # the CSV column of each design variable
@@ -562,7 +539,7 @@ def validation_report_csv(
         desc = check.rule.describe()
         for dp, observed in zip(check.designs, check.labels):
             no += 1
-            met = record_for(0, dp, cfg).metrics
+            met = record_for(dp, cfg)
             lines.append(
                 f'"{desc}",{no},{dp.d!r},{dp.n},{dp.m},{dp.h!r},{dp.t!r},'
                 f"{met.sea_kj_per_kg!r},{getattr(met, second)!r},{observed}"
@@ -691,7 +668,7 @@ def run_validate(
         try:
             validations[label] = validate_rule(
                 selected[label],
-                labeler=lambda dp: label_metrics(record_for(0, dp, cfg).metrics, objective),
+                labeler=lambda dp: label_metrics(record_for(dp, cfg), objective),
                 k=k,
                 seed=_validation_seed(cfg.seed, objective, label),
             )
@@ -725,8 +702,6 @@ class PipelineResult:
 def run_pipeline(
     cfg: RunConfig,
     out_dir: str | Path,
-    objectives: Sequence[str] = OBJECTIVES,
-    validation_k: int = VALIDATION_K,
     trace_dir: str | Path | None = None,
 ) -> PipelineResult:
     """Every stage for every objective, then summary.txt, rules.json and
@@ -743,11 +718,11 @@ def run_pipeline(
     files = ["designs.csv", "metrics.csv", "dataset.csv"]
     summary = [f"designs evaluated: {len(table)}"]
     rule_docs, validated, pruning, fidelity = {}, {}, {}, {}
-    for objective in objectives:
+    for objective in OBJECTIVES:
         tree = run_train(table, objective, cfg, out)
         pruned = run_prune(tree, table, objective, cfg, out)
         rules, selected = run_rules(pruned.tree, objective, out)
-        validations = run_validate(selected, objective, cfg, out, validation_k)
+        validations = run_validate(selected, objective, cfg, out)
         files += [name.format(objective) for name in OBJECTIVE_FILES]
         average = average_fidelity(validations)
         rule_docs[objective] = rules_doc(rules, selected)
@@ -780,14 +755,14 @@ def run_pipeline(
         "package": "lftmine",
         "version": __version__,
         "config": config_to_dict(cfg),
-        "objectives": list(objectives),
+        "objectives": list(OBJECTIVES),
         "rows": {
             "designs": len(points),
             "evaluated": len(table),
             "labeled": len(table),
             "validated": validated,
         },
-        "class_counts": {obj: class_counts(table, obj) for obj in objectives},
+        "class_counts": {obj: class_counts(table, obj) for obj in OBJECTIVES},
         "pruning": pruning,
         "fidelity_pct": fidelity,
         "artifacts": sorted(files),
@@ -807,9 +782,7 @@ def hollow_baseline_sea(t: float) -> float:
     return np.interp(t, knots, [HOLLOW_SEA_BASELINES[k] for k in knots]).item()
 
 
-def hollow_rows(
-    thicknesses: Sequence[float], cfg: RunConfig = RunConfig()
-) -> dict[str, np.ndarray]:
+def hollow_rows(thicknesses: Sequence[float], cfg: RunConfig) -> dict[str, np.ndarray]:
     """Indicator columns of the hollow tube at each wall thickness.
 
     Thicknesses before the first one outside the design box are evaluated

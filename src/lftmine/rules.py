@@ -9,9 +9,9 @@ that rule predicts what the tree predicts.
 One representative rule per class is selected by shortest path, then
 lowest training error rate, then largest coverage, then lexicographically
 smallest intervals. Validation samples fresh designs inside a rule's
-region (stratified per variable, integers drawn from the contiguous
-admissible set) and reports how often an independent labeler agrees with
-the rule's class.
+region with the design box's Latin Hypercube sampler restricted to that
+region (integers drawn from the contiguous admissible set) and reports how
+often an independent labeler agrees with the rule's class.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .doe import VARIABLE_ORDER, design_points, round_to_integers, stratified_column
+from .doe import VARIABLE_ORDER, sample_ranges
 from .dtree import DecisionTree, TreeNode
 from .errors import (
     BoundsError,
@@ -148,23 +146,15 @@ def select_rule(rules: Sequence[Rule], label: str, attributes: Sequence[str]) ->
     )
 
 
-def _stratified_open_low(rng: np.random.Generator, k: int, lower: float, upper: float):
-    # mirror image of the closed-low column: values land in (lower, upper]
-    perm = rng.permutation(k)
-    u = rng.random(k)
-    return lower + (perm + 1.0 - u) / k * (upper - lower)
-
-
 def sample_in_rule(rule: Rule, k: int = 5, seed: int = 0) -> list[DesignPoint]:
-    """Stratified designs inside the rule region intersected with the box.
+    """Latin Hypercube designs inside the rule region intersected with the box.
 
     Integer variables draw from the contiguous admissible integers; an
     empty intersection on any variable raises InfeasibleRuleError.
     """
     if k < 0:
         raise BoundsError(f"sample count k={k} must be non-negative")
-    rng = np.random.default_rng(seed)
-    columns: dict[str, np.ndarray] = {}
+    ranges: dict[str, tuple[float, float, bool]] = {}
     for name in VARIABLE_ORDER:
         lower, upper = DESIGN_BOUNDS[name]
         iv = rule.conditions.get(name, Interval())
@@ -184,18 +174,10 @@ def sample_in_rule(rule: Rule, k: int = 5, seed: int = 0) -> list[DesignPoint]:
                 raise InfeasibleRuleError(
                     f"rule {rule.describe()!r} admits no integer {name} in ({lo}, {hi}]"
                 )
-            if c0 == c1:
-                columns[name] = np.full(k, c0)
-            else:
-                raw = stratified_column(rng, k, c0 - 0.5, c1 + 0.5)
-                columns[name] = round_to_integers(raw, c0, c1)
-        elif lo_open:
-            columns[name] = _stratified_open_low(rng, k, lo, hi)
-        elif lo == hi:
-            columns[name] = np.full(k, lo)
+            ranges[name] = (c0, c1, False)
         else:
-            columns[name] = stratified_column(rng, k, lo, hi)
-    return design_points(columns)
+            ranges[name] = (lo, hi, lo_open)
+    return sample_ranges(k, seed, ranges)
 
 
 @dataclass(frozen=True)

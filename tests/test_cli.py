@@ -161,6 +161,20 @@ def test_bad_config_is_reported(tmp_path, capsys):
     assert "unknown material 'steel'" in capsys.readouterr().err
 
 
+def test_overflowing_config_is_reported(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"k": 1e400}', encoding="utf-8")
+    assert main(["sample", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "error: malformed config value" in capsys.readouterr().err
+
+
+def test_out_dir_that_is_a_file_is_reported(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["sample", "--k", "5", "--out-dir", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_objective_rejected(workdir):
     with pytest.raises(SystemExit):
         main(["train", *args_for(workdir, "--objective", "cost")])

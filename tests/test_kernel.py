@@ -21,7 +21,7 @@ from lftmine.geometry import (
     compute_mass,
     derive_geometry,
 )
-from lftmine.labeling import OBJECTIVES
+from lftmine.labeling import OBJECTIVES, label_all
 from lftmine.metrics import CrashMetrics, metric_columns
 from lftmine.pipeline import RunConfig, evaluate_many
 
@@ -103,9 +103,11 @@ def table_rows(table):
     ]
 
 
-def record_row(r):
-    """table_rows' tuple for one record of the one-design path."""
-    return (*astuple(r.metrics)[:6], r.omega_deg, r.l_mm, r.labels)
+def record_row(dp, cfg):
+    """table_rows' tuple for one design through the one-design path."""
+    g = derive_geometry(dp)
+    m = pipeline.record_for(dp, cfg)
+    return (*astuple(m)[:6], math.degrees(g.omega), g.l, label_all(m))
 
 
 def bits(values):
@@ -183,7 +185,7 @@ def test_results_do_not_depend_on_chunking(points, p):
         in_pairs = table_rows(evaluate_many(points, cfg))
     # the one-design path (derive_geometry, compute_mass, crush_inputs,
     # simulate_crush, compute_metrics) that validation uses
-    single = [record_row(pipeline.record_for(i, dp, cfg)) for i, dp in enumerate(points)]
+    single = [record_row(dp, cfg) for dp in points]
     assert at_once == one_by_one == in_pairs == single
 
 

@@ -14,7 +14,7 @@ from conftest import EFFICIENCY_ROWS
 from lftmine.crush import SurrogateParams
 from lftmine.doe import lhs_sample
 from lftmine.errors import BoundsError, SchemaError
-from lftmine.geometry import DesignPoint
+from lftmine.geometry import DesignPoint, derive_geometry
 from lftmine.labeling import OBJECTIVES, label_all
 from lftmine.metrics import CrashMetrics
 from lftmine.pipeline import (
@@ -90,6 +90,20 @@ def test_config_values_take_their_field_types():
         config_from_dict({"k": "many"})
 
 
+def test_integer_config_fields_reject_fractions_and_booleans():
+    for doc in ({"k": 150.9}, {"min_leaf": True}, {"surrogate": {"fold_count": 4.5}}):
+        with pytest.raises(SchemaError, match="is not an integer"):
+            config_from_dict(doc)
+    assert config_from_dict({"k": 150.0, "min_leaf": "3"}).k == 150
+
+
+def test_config_overflow_is_a_schema_error():
+    with pytest.raises(SchemaError, match="malformed config value"):
+        config_from_dict(json.loads('{"k": 1e400}'))
+    with pytest.raises(SchemaError, match="malformed config value"):
+        config_from_dict({"peak_window": 10**400})
+
+
 def test_config_validation():
     with pytest.raises(BoundsError, match="peak_window=0"):
         RunConfig(peak_window=0.0)
@@ -114,11 +128,10 @@ def test_load_config_reports_bad_json(tmp_path):
 def test_record_oracle():
     """Frozen full evaluation of one design under default settings."""
     dp = DesignPoint(n=4, m=2, d=2.0, t=1.4, h=0.0)
-    r = record_for(7, dp, RunConfig())
-    assert r.index == 7
-    assert math.isclose(r.omega_deg, 44.08735112984811, rel_tol=1e-12)
-    assert math.isclose(r.l_mm, 35.93222787415219, rel_tol=1e-12)
-    m = r.metrics
+    g = derive_geometry(dp)
+    assert math.isclose(math.degrees(g.omega), 44.08735112984811, rel_tol=1e-12)
+    assert math.isclose(g.l, 35.93222787415219, rel_tol=1e-12)
+    m = record_for(dp, RunConfig())
     assert math.isclose(m.mass_kg, 0.280477874737465, rel_tol=1e-12)
     assert math.isclose(m.tea_kj, 3.903985832836082, rel_tol=1e-12)
     assert math.isclose(m.sea_kj_per_kg, 13.919050964324084, rel_tol=1e-12)
@@ -126,7 +139,7 @@ def test_record_oracle():
     assert math.isclose(m.pcf_kn, 36.57670784752311, rel_tol=1e-12)
     assert math.isclose(m.cfe_pct, 76.2387178417826, rel_tol=1e-12)
     assert m.z_mm == 140.0
-    assert r.labels == {"eff": "g", "tea": "b", "light": "g"}
+    assert label_all(m) == {"eff": "g", "tea": "b", "light": "g"}
     table = relabel(evaluate_many([dp], RunConfig()))
     assert training_dataset(table, "eff").rows == ((2.0, 4.0, 2.0, 1.4, 0.0),)
 

@@ -1,6 +1,8 @@
 """The package's public surface: exported names and fixed-tube signatures."""
 
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,7 @@ NO_TUBE_ARGUMENT = (
     crush.hollow_inputs,
     crush.simulate_crush,
     crush.hollow_trace,
-    pipeline._geometry_and_mass,
+    pipeline.record_for,
     pipeline.evaluate_many,
     pipeline.hollow_rows,
 )
@@ -38,6 +40,9 @@ def test_every_exported_name_resolves():
         (doe, "VariableBounds"),
         (errors, "NumericError"),
         (pipeline, "evaluate_design"),
+        (pipeline, "DesignRecord"),
+        (pipeline, "_geometry_and_mass"),
+        (rules, "_stratified_open_low"),
     ],
 )
 def test_removed_names_are_gone(module, name):
@@ -58,3 +63,26 @@ def test_design_box_is_not_a_parameter(fn):
 
 def test_sweep_grid_and_anchor_are_not_parameters():
     assert list(inspect.signature(pipeline.run_sweep).parameters) == ["variable", "cfg", "out_dir"]
+
+
+def test_objectives_and_validation_count_are_not_parameters():
+    assert list(inspect.signature(pipeline.run_pipeline).parameters) == ["cfg", "out_dir", "trace_dir"]
+    cfg = inspect.signature(pipeline.hollow_rows).parameters["cfg"]
+    assert cfg.default is inspect.Parameter.empty
+
+
+def test_every_traced_name_resolves():
+    """The benchmark's tracer wraps functions by module and name; a per-layer
+    metric built on a name that no longer resolves reads null."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = tracer.Tracer()
+    original = pipeline.record_for
+    try:
+        traced.install()
+    finally:
+        traced.uninstall()
+    assert not traced.missing
+    assert pipeline.record_for is original

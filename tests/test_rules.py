@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import EFFICIENCY_ROWS, rows_as_dataset
+from lftmine.doe import lhs_sample
 from lftmine.dtree import build_tree, predict
 from lftmine.errors import BoundsError, InfeasibleRuleError, RuleNotFoundError, SchemaError
 from lftmine.geometry import DesignPoint
@@ -138,6 +139,11 @@ def test_sample_in_rule_stays_inside_region():
     assert sample_in_rule(rule, k=0) == []
     with pytest.raises(BoundsError, match="must be non-negative"):
         sample_in_rule(rule, k=-1)
+
+
+@pytest.mark.parametrize("k, seed", [(1, 0), (7, 3), (150, 0), (2000, 19)])
+def test_unconstrained_rule_samples_the_whole_box_like_lhs(k, seed):
+    assert sample_in_rule(make_rule("e", {}), k=k, seed=seed) == lhs_sample(k, seed)
 
 
 def test_sample_open_lower_bound_is_stratified():
