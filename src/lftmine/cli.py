@@ -297,8 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LftError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LftError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -20,9 +20,6 @@ with crush end z = crush_fraction * (H - h). Every constant is a
 :class:`SurrogateParams` field so the evaluator can be recalibrated against
 external simulation or test data without code changes.
 
-External curves (test or FE exports) can replace the surrogate through
-:func:`ingest_trace`; the CSV format is two columns with header ``x_mm,F_kN``.
-
 :func:`surrogate_traces` samples the traces of many designs in one numpy
 call; :func:`simulate_crush` and :func:`hollow_trace` are its one-design
 cases.
@@ -311,33 +308,3 @@ def write_trace(trace: CrushTrace, path: str | Path) -> None:
     lines.extend(f"{x!r},{f!r}" for x, f in zip(trace.x.tolist(), trace.force.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def ingest_trace(path: str | Path) -> CrushTrace:
-    """Parse a two-column trace CSV, reporting the offending row on error."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != TRACE_HEADER:
-        raise TraceError(f"{path}: first line must be the header '{TRACE_HEADER}'")
-    samples: list[tuple[float, float]] = []
-    for row, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise TraceError(f"{path}: row {row}: expected 2 columns, got {len(parts)}")
-        try:
-            x, f = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise TraceError(f"{path}: row {row}: non-numeric value in {line!r}") from None
-        if f < 0:
-            raise TraceError(f"{path}: row {row}: negative force {f}")
-        if samples and x <= samples[-1][0]:
-            raise TraceError(
-                f"{path}: row {row}: displacement {x} not above previous {samples[-1][0]}"
-            )
-        samples.append((x, f))
-    if len(samples) < 2:
-        raise TraceError(f"{path}: trace needs at least two samples")
-    if samples[0][0] != 0.0:
-        raise TraceError(f"{path}: row 2: trace must start at x=0, got {samples[0][0]}")
-    return CrushTrace(samples=tuple(samples))

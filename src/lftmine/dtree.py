@@ -3,9 +3,12 @@
 The learner grows binary trees over numeric attributes. At each node every
 midpoint between consecutive distinct attribute values is a candidate cut;
 candidates whose information gain reaches the mean gain of all
-positive-gain candidates compete on gain ratio, and the winner is reported
-with the largest observed value at or below the winning midpoint, so cut
-points are always actual data values.
+positive-gain candidates compete on gain ratio. A cut between adjacent
+distinct values v0 < v1 is scored at their midpoint, but its threshold is
+v0, so cut points are always actual data values and a node sends
+value <= v0 left. When v0 and v1 are adjacent floats the midpoint rounds
+up onto v1; the cut is then scored with the v1 rows on the left, while
+``build_tree`` sends them right (ROADMAP.md, item 9).
 
 Selection is deterministic: candidates are scanned attribute by attribute
 in dataset order with thresholds ascending, and a candidate replaces the
@@ -114,37 +117,6 @@ def entropy(counts: Sequence[int]) -> float:
     return h
 
 
-def split_scores(
-    data: Dataset, attribute: str, threshold: float
-) -> tuple[float, float, float]:
-    """(information gain, split info, gain ratio) for one binary cut.
-
-    The cut sends value <= threshold left and value > threshold right.
-    Both sides must be non-empty.
-    """
-    if attribute not in data.attributes:
-        raise SchemaError(f"unknown attribute {attribute!r}, expected one of {data.attributes}")
-    col = data.attributes.index(attribute)
-    classes = ordered_classes(data.labels)
-    pos = {c: i for i, c in enumerate(classes)}
-    total = [0] * len(classes)
-    left = [0] * len(classes)
-    for row, label in zip(data.rows, data.labels):
-        total[pos[label]] += 1
-        if row[col] <= threshold:
-            left[pos[label]] += 1
-    n, n_left = len(data.rows), sum(left)
-    n_right = n - n_left
-    if n_left == 0 or n_right == 0:
-        raise BoundsError(
-            f"threshold {threshold} leaves an empty side for attribute {attribute!r}"
-        )
-    right = [t - l for t, l in zip(total, left)]
-    gain = entropy(total) - (n_left / n) * entropy(left) - (n_right / n) * entropy(right)
-    split_info = entropy([n_left, n_right])
-    return gain, split_info, gain / split_info
-
-
 @dataclass(frozen=True)
 class SplitCandidate:
     """One evaluated cut, kept for inspection and for test oracles."""
@@ -194,7 +166,8 @@ def evaluate_splits(
         for g in range(len(values) - 1):
             v0, v1 = values[g], values[g + 1]
             mid = 0.5 * (v0 + v1)
-            # the midpoint can round up to v1, which then goes left too
+            # a midpoint that rounds up to v1 is scored with v1 on the left,
+            # though build_tree splits at v0 and sends v1 right
             left = below[g + 1] if mid >= v1 else below[g]
             n_left = sum(left)
             n_right = n - n_left

@@ -118,7 +118,6 @@ class DerivedGeometry:
     omega: rod inclination from horizontal, radians
     l: diagonal rod length, mm
     cell_height: (H - h) / n, mm
-    cell_width: (a - 2 s) / m, mm
     n_diag: total diagonal strut count (8 per cell)
     n_vert: total vertical strut count ((m + 1)^2 columns per layer)
     vert_len: vertical strut length, mm (one cell height)
@@ -127,7 +126,6 @@ class DerivedGeometry:
     omega: float
     l: float
     cell_height: float
-    cell_width: float
     n_diag: int
     n_vert: int
     vert_len: float
@@ -166,7 +164,6 @@ def derive_geometry(dp: DesignPoint) -> DerivedGeometry:
         omega=omega,
         l=l,
         cell_height=cell_height,
-        cell_width=(TUBE_A - 2 * LATTICE_GAP) / dp.m,
         n_diag=8 * dp.m * dp.m * dp.n,
         n_vert=(dp.m + 1) ** 2 * dp.n,
         vert_len=cell_height,

@@ -58,33 +58,9 @@ def _energies(batch: TraceBatch) -> list[float]:
     return [math.fsum(terms[a : b - 1]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _check_window(peak_window: float) -> None:
-    if not 0 < peak_window <= 1:
-        raise BoundsError(f"peak_window={peak_window} must be in (0, 1]")
-
-
-def _peaks(batch: TraceBatch, cutoff: np.ndarray) -> np.ndarray:
-    """Largest force of every trace over its samples with x <= cutoff."""
-    starts = batch.starts
-    inside = np.where(batch.x <= cutoff.repeat(starts[1:] - starts[:-1]), batch.force, -np.inf)
-    return np.maximum.reduceat(inside, starts[:-1])
-
-
-def _ends(batch: TraceBatch) -> np.ndarray:
-    """Crush distance of every trace: its last sampled displacement."""
-    return batch.x[batch.starts[1:] - 1]
-
-
 def trapezoid_energy(trace: CrushTrace) -> float:
     """Trapezoid-rule integral of the trace in kN*mm (equal to J)."""
     return _energies(TraceBatch.of(trace))[0]
-
-
-def peak_force(trace: CrushTrace, peak_window: float = DEFAULT_PEAK_WINDOW) -> float:
-    """Largest sampled force within the initial window of the stroke."""
-    _check_window(peak_window)
-    batch = TraceBatch.of(trace)
-    return float(_peaks(batch, peak_window * _ends(batch))[0])
 
 
 def metric_columns(
@@ -100,14 +76,18 @@ def metric_columns(
     in the initial window fails; the error of the first such trace i
     starts with name(i).
     """
-    _check_window(peak_window)
+    if not 0 < peak_window <= 1:
+        raise BoundsError(f"peak_window={peak_window} must be in (0, 1]")
     if not len(batch):
         return np.empty((len(fields(CrashMetrics)), 0))
     mass = np.asarray(mass_kg, dtype=float)
     starts = batch.starts[:-1]
-    z = _ends(batch)
+    # crush distance: the last sampled displacement of each trace
+    z = batch.x[batch.starts[1:] - 1]
     negative = np.minimum.reduceat(batch.force, starts) < 0
-    pcf = _peaks(batch, peak_window * z)
+    # the largest force of each trace over its samples inside the window
+    cutoff = (peak_window * z).repeat(batch.starts[1:] - starts)
+    pcf = np.maximum.reduceat(np.where(batch.x <= cutoff, batch.force, -np.inf), starts)
     bad = (negative | (mass <= 0) | (pcf <= 0)).nonzero()[0]
     if bad.size:
         i = int(bad[0])

@@ -123,6 +123,11 @@ SWEEP_ANCHOR = {"n": 3, "m": 4, "d": 2.0, "t": 1.1, "h": 3.0}
 # grid points of a sweep over a continuous variable
 SWEEP_POINTS = 9
 
+# Largest sample count a run accepts, for --k and for validate --k. Memory
+# grows linearly with k, so a mistyped k fails here with BoundsError rather
+# than deep inside numpy once the host runs out.
+MAX_K = 10_000_000
+
 
 def material_by_name(name: str) -> MaterialSpec:
     try:
@@ -149,8 +154,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise BoundsError(f"seed={self.seed} must be non-negative")
-        if self.k < 1:
-            raise BoundsError(f"sample count k={self.k} must be at least 1")
+        if not 1 <= self.k <= MAX_K:
+            raise BoundsError(f"sample count k={self.k} must be in [1, {MAX_K}]")
         if self.min_leaf < 1:
             raise BoundsError(f"min_leaf={self.min_leaf} must be at least 1")
         if not 0 < self.peak_window <= 1:

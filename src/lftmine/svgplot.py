@@ -9,7 +9,7 @@ formatted with fixed precision so identical inputs give identical bytes.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .errors import SchemaError
@@ -26,6 +26,7 @@ WIDTH = 640.0
 HEIGHT = 440.0
 PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+AXIS_BOTTOM = MARGIN_TOP + PLOT_H
 
 
 def _escape(text: str) -> str:
@@ -89,6 +90,46 @@ def _frame(title: str) -> list[str]:
     ]
 
 
+def _y_scale(y0: float, y1: float) -> Callable[[float], float]:
+    """Pixel row of a y value, with y0 on the x axis and y1 at the top."""
+    return lambda y: MARGIN_TOP + PLOT_H - (y - y0) / (y1 - y0) * PLOT_H
+
+
+def _axes() -> list[str]:
+    """The x and y axis lines."""
+    return [
+        f'<line x1="{_px(MARGIN_LEFT)}" y1="{_px(AXIS_BOTTOM)}" '
+        f'x2="{_px(MARGIN_LEFT + PLOT_W)}" y2="{_px(AXIS_BOTTOM)}" stroke="black"/>',
+        f'<line x1="{_px(MARGIN_LEFT)}" y1="{_px(MARGIN_TOP)}" x2="{_px(MARGIN_LEFT)}" '
+        f'y2="{_px(AXIS_BOTTOM)}" stroke="black"/>',
+    ]
+
+
+def _y_ticks(y0: float, y1: float) -> list[str]:
+    """Tick marks and labels along the y axis."""
+    sy = _y_scale(y0, y1)
+    out = []
+    for ty in _nice_ticks(y0, y1):
+        out.append(
+            f'<line x1="{_px(MARGIN_LEFT - 5)}" y1="{_px(sy(ty))}" x2="{_px(MARGIN_LEFT)}" '
+            f'y2="{_px(sy(ty))}" stroke="black"/>'
+        )
+        out.append(
+            f'<text x="{_px(MARGIN_LEFT - 8)}" y="{_px(sy(ty) + 4)}" text-anchor="end">'
+            f"{ty:g}</text>"
+        )
+    return out
+
+
+def _y_label(label: str) -> str:
+    """The y axis title, rotated to read upwards."""
+    mid = _px(MARGIN_TOP + PLOT_H / 2)
+    return (
+        f'<text x="16" y="{mid}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {mid})">{_escape(label)}</text>'
+    )
+
+
 def scatter_svg(series: Sequence[Series], title: str, x_label: str, y_label: str) -> str:
     """Scatter/line chart of one or more series."""
     if not series or not any(s.points for s in series):
@@ -101,46 +142,24 @@ def scatter_svg(series: Sequence[Series], title: str, x_label: str, y_label: str
     def sx(x: float) -> float:
         return MARGIN_LEFT + (x - x0) / (x1 - x0) * PLOT_W
 
-    def sy(y: float) -> float:
-        return MARGIN_TOP + PLOT_H - (y - y0) / (y1 - y0) * PLOT_H
-
-    out = _frame(title)
-    # axes and ticks
-    ax_b = MARGIN_TOP + PLOT_H
+    sy = _y_scale(y0, y1)
     ax_r = MARGIN_LEFT + PLOT_W
-    out.append(
-        f'<line x1="{_px(MARGIN_LEFT)}" y1="{_px(ax_b)}" x2="{_px(ax_r)}" y2="{_px(ax_b)}" '
-        'stroke="black"/>'
-    )
-    out.append(
-        f'<line x1="{_px(MARGIN_LEFT)}" y1="{_px(MARGIN_TOP)}" x2="{_px(MARGIN_LEFT)}" '
-        f'y2="{_px(ax_b)}" stroke="black"/>'
-    )
+    out = [*_frame(title), *_axes()]
     for tx in _nice_ticks(x0, x1):
         out.append(
-            f'<line x1="{_px(sx(tx))}" y1="{_px(ax_b)}" x2="{_px(sx(tx))}" y2="{_px(ax_b + 5)}" '
-            'stroke="black"/>'
+            f'<line x1="{_px(sx(tx))}" y1="{_px(AXIS_BOTTOM)}" x2="{_px(sx(tx))}" '
+            f'y2="{_px(AXIS_BOTTOM + 5)}" stroke="black"/>'
         )
         out.append(
-            f'<text x="{_px(sx(tx))}" y="{_px(ax_b + 18)}" text-anchor="middle">{tx:g}</text>'
+            f'<text x="{_px(sx(tx))}" y="{_px(AXIS_BOTTOM + 18)}" text-anchor="middle">'
+            f"{tx:g}</text>"
         )
-    for ty in _nice_ticks(y0, y1):
-        out.append(
-            f'<line x1="{_px(MARGIN_LEFT - 5)}" y1="{_px(sy(ty))}" x2="{_px(MARGIN_LEFT)}" '
-            f'y2="{_px(sy(ty))}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{_px(MARGIN_LEFT - 8)}" y="{_px(sy(ty) + 4)}" text-anchor="end">'
-            f"{ty:g}</text>"
-        )
+    out.extend(_y_ticks(y0, y1))
     out.append(
         f'<text x="{_px(MARGIN_LEFT + PLOT_W / 2)}" y="{_px(HEIGHT - 14)}" '
         f'text-anchor="middle">{_escape(x_label)}</text>'
     )
-    out.append(
-        f'<text x="16" y="{_px(MARGIN_TOP + PLOT_H / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_px(MARGIN_TOP + PLOT_H / 2)})">{_escape(y_label)}</text>'
-    )
+    out.append(_y_label(y_label))
     for si, s in enumerate(series):
         color = PALETTE[si % len(PALETTE)]
         if s.connect and len(s.points) > 1:
@@ -169,29 +188,10 @@ def bar_svg(categories: Sequence[str], values: Sequence[float], title: str, y_la
     y1 = max(values)
     if y1 <= y0:
         y1 = y0 + 1.0
-    ax_b = MARGIN_TOP + PLOT_H
-
-    def sy(y: float) -> float:
-        return MARGIN_TOP + PLOT_H - (y - y0) / (y1 - y0) * PLOT_H
-
+    sy = _y_scale(y0, y1)
     slot = PLOT_W / len(categories)
     bar_w = slot * 0.6
-    out = [
-        *_frame(title),
-        f'<line x1="{_px(MARGIN_LEFT)}" y1="{_px(ax_b)}" x2="{_px(MARGIN_LEFT + PLOT_W)}" '
-        f'y2="{_px(ax_b)}" stroke="black"/>',
-        f'<line x1="{_px(MARGIN_LEFT)}" y1="{_px(MARGIN_TOP)}" x2="{_px(MARGIN_LEFT)}" '
-        f'y2="{_px(ax_b)}" stroke="black"/>',
-    ]
-    for ty in _nice_ticks(y0, y1):
-        out.append(
-            f'<line x1="{_px(MARGIN_LEFT - 5)}" y1="{_px(sy(ty))}" x2="{_px(MARGIN_LEFT)}" '
-            f'y2="{_px(sy(ty))}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{_px(MARGIN_LEFT - 8)}" y="{_px(sy(ty) + 4)}" text-anchor="end">'
-            f"{ty:g}</text>"
-        )
+    out = [*_frame(title), *_axes(), *_y_ticks(y0, y1)]
     for i, (cat, val) in enumerate(zip(categories, values)):
         cx = MARGIN_LEFT + slot * (i + 0.5)
         top = sy(max(val, 0.0))
@@ -201,11 +201,9 @@ def bar_svg(categories: Sequence[str], values: Sequence[float], title: str, y_la
             f'height="{_px(h)}" fill="{PALETTE[0]}" data-x="{_escape(cat)}" data-y="{val!r}"/>'
         )
         out.append(
-            f'<text x="{_px(cx)}" y="{_px(ax_b + 18)}" text-anchor="middle">{_escape(cat)}</text>'
+            f'<text x="{_px(cx)}" y="{_px(AXIS_BOTTOM + 18)}" text-anchor="middle">'
+            f"{_escape(cat)}</text>"
         )
-    out.append(
-        f'<text x="16" y="{_px(MARGIN_TOP + PLOT_H / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_px(MARGIN_TOP + PLOT_H / 2)})">{_escape(y_label)}</text>'
-    )
+    out.append(_y_label(y_label))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lftmine import pipeline
+from lftmine import cli, pipeline
 from lftmine.cli import main
 from lftmine.dtree import leaf_count, load_tree
 from lftmine.errors import LftError
@@ -173,6 +173,31 @@ def test_out_dir_that_is_a_file_is_reported(tmp_path, capsys):
     taken.write_text("", encoding="utf-8")
     assert main(["sample", "--k", "5", "--out-dir", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_k_above_the_bound_is_reported(tmp_path, capsys):
+    too_many = str(pipeline.MAX_K + 1)
+    for command in ("sample", "pipeline", "validate"):
+        assert main([command, "--k", too_many, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample count k=") and f"[1, {pipeline.MAX_K}]" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_running_out_of_memory_is_reported(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_sample", exhausted)
+    assert main(["sample", "--k", "5", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+    def exhausted_with_detail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(pipeline, "run_rules", exhausted_with_detail)
+    assert main(["pipeline", "--k", "5", "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
 
 
 def test_unknown_objective_rejected(workdir):

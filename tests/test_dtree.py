@@ -28,7 +28,6 @@ from lftmine.dtree import (
     prune_with_ladder,
     save_tree,
     select_split,
-    split_scores,
     tree_from_json,
     tree_stats,
     tree_to_dot,
@@ -63,12 +62,18 @@ def test_entropy_hand_values():
     assert math.isclose(entropy([1, 1, 2]), 1.5, rel_tol=1e-15)
 
 
+def four_row_cuts():
+    data = four_row_data()
+    cuts = evaluate_splits(data, range(4), ordered_classes(data.labels), 1)
+    return {c.threshold: c for c in cuts}
+
+
 def test_split_scores_perfect_cut():
-    # split at 2.5 separates the classes exactly: gain 1 bit, even halves
-    gain, info, ratio = split_scores(four_row_data(), "x", 2.5)
-    assert gain == 1.0
-    assert info == 1.0
-    assert ratio == 1.0
+    # x <= 2 separates the classes exactly: gain 1 bit, even halves
+    cut = four_row_cuts()[2.0]
+    assert (cut.midpoint, cut.n_left, cut.n_right) == (2.5, 2, 2)
+    assert cut.gain == 1.0
+    assert cut.gain_ratio == 1.0
 
 
 def test_split_scores_uneven_cut():
@@ -80,19 +85,10 @@ def test_split_scores_uneven_cut():
     h_right = -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3)
     want_gain = 1.0 - 0.75 * h_right
     want_info = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
-    gain, info, ratio = split_scores(four_row_data(), "x", 1.0)
-    assert math.isclose(gain, want_gain, rel_tol=1e-12)
-    assert math.isclose(info, want_info, rel_tol=1e-12)
-    assert math.isclose(ratio, want_gain / want_info, rel_tol=1e-12)
-
-
-def test_split_scores_rejects_bad_input():
-    with pytest.raises(SchemaError, match="unknown attribute 'y'"):
-        split_scores(four_row_data(), "y", 2.5)
-    with pytest.raises(BoundsError, match="empty side"):
-        split_scores(four_row_data(), "x", 4.0)
-    with pytest.raises(BoundsError, match="empty side"):
-        split_scores(four_row_data(), "x", 0.5)
+    cut = four_row_cuts()[1.0]
+    assert (cut.midpoint, cut.n_left, cut.n_right) == (1.5, 1, 3)
+    assert math.isclose(cut.gain, want_gain, rel_tol=1e-12)
+    assert math.isclose(cut.gain_ratio, want_gain / want_info, rel_tol=1e-12)
 
 
 def test_select_split_mean_gain_guard():

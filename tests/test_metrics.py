@@ -7,7 +7,7 @@ import pytest
 from lftmine.crush import CrushTrace, SurrogateParams, simulate_crush
 from lftmine.errors import BoundsError
 from lftmine.geometry import AL6063_T5, ALSI10MG, DesignPoint, derive_geometry
-from lftmine.metrics import compute_metrics, peak_force, trapezoid_energy
+from lftmine.metrics import compute_metrics, trapezoid_energy
 
 
 def test_constant_force_closed_form():
@@ -104,10 +104,10 @@ def test_halving_sample_step_barely_moves_tea():
 def test_peak_window_limits_the_search():
     # late spike at 90% of stroke must not count as the initial peak
     trace = CrushTrace(samples=((0.0, 10.0), (18.0, 12.0), (90.0, 50.0), (100.0, 10.0)))
-    assert peak_force(trace, peak_window=0.2) == 12.0
-    assert peak_force(trace, peak_window=1.0) == 50.0
+    assert compute_metrics(trace, 1.0, peak_window=0.2).pcf_kn == 12.0
+    assert compute_metrics(trace, 1.0, peak_window=1.0).pcf_kn == 50.0
     with pytest.raises(BoundsError, match="peak_window"):
-        peak_force(trace, peak_window=0.0)
+        compute_metrics(trace, 1.0, peak_window=0.0)
 
 
 def test_mass_must_be_positive():

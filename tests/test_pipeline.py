@@ -19,6 +19,7 @@ from lftmine.labeling import OBJECTIVES, label_all
 from lftmine.metrics import CrashMetrics
 from lftmine.pipeline import (
     DATASET_HEADER,
+    MAX_K,
     METRIC_COLUMNS,
     METRICS_HEADER,
     SWEEP_ANCHOR,
@@ -109,6 +110,9 @@ def test_config_validation():
         RunConfig(peak_window=0.0)
     with pytest.raises(BoundsError, match="k=0"):
         RunConfig(k=0)
+    assert RunConfig(k=MAX_K).k == MAX_K
+    with pytest.raises(BoundsError, match=f"k={MAX_K + 1} must be in"):
+        RunConfig(k=MAX_K + 1)
     with pytest.raises(BoundsError, match="cf_ladder"):
         RunConfig(cf_ladder=(0.25, 1.5))
     with pytest.raises(SchemaError, match="unknown material 'steel'"):

@@ -1,12 +1,15 @@
 """Rule extraction, box tiling, region sampling, fidelity checks."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EFFICIENCY_ROWS, rows_as_dataset
 from lftmine.doe import lhs_sample
-from lftmine.dtree import build_tree, predict
+from lftmine.dtree import Dataset, build_tree, predict
 from lftmine.errors import BoundsError, InfeasibleRuleError, RuleNotFoundError, SchemaError
 from lftmine.geometry import DesignPoint
 from lftmine.rules import (
@@ -94,6 +97,49 @@ def test_rules_tile_the_design_box():
         }
         hits = matching_rules(rules, values)
         assert len(hits) == 1
+        assert hits[0].label == predict(tree, values)
+
+
+GRID_ROWS = st.lists(
+    st.tuples(*[st.integers(0, 20).map(lambda i: i / 10)] * 3, st.sampled_from("egb")),
+    min_size=1,
+    max_size=24,
+)
+
+
+def split_nodes(node):
+    if not node.is_leaf:
+        yield node
+        yield from split_nodes(node.left)
+        yield from split_nodes(node.right)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(GRID_ROWS, st.integers(1, 3))
+def test_rules_tile_the_box_at_every_threshold(rows, min_leaf):
+    """Every training row, moved onto each node's threshold and one float to
+    either side of it, satisfies exactly one rule, and that rule's class is
+    the tree's prediction."""
+    attributes = ("x", "y", "z")
+    data = Dataset(
+        attributes=attributes,
+        rows=tuple(row[:3] for row in rows),
+        labels=tuple(row[3] for row in rows),
+    )
+    tree = build_tree(data, min_leaf=min_leaf)
+    rules = extract_rules(tree)
+    probes = [list(row) for row in data.rows]
+    for node in split_nodes(tree.root):
+        thr = node.threshold
+        for value in (math.nextafter(thr, -math.inf), thr, math.nextafter(thr, math.inf)):
+            for row in data.rows:
+                probe = list(row)
+                probe[node.attr_index] = value
+                probes.append(probe)
+    for probe in probes:
+        values = dict(zip(attributes, probe))
+        hits = matching_rules(rules, values)
+        assert len(hits) == 1, values
         assert hits[0].label == predict(tree, values)
 
 
